@@ -3,7 +3,7 @@
 //! Times the operations the `rhychee-par` pool accelerates — the
 //! forward NTT (Shoup/Harvey butterflies), packed model encryption
 //! (NTT-resident, coefficient-domain reference, and symmetric seeded),
-//! homomorphic weighted aggregation, and model decryption — at 1, 2,
+//! homomorphic FedAvg (fold + `1/P` finalize), and model decryption — at 1, 2,
 //! and 4 threads, and writes the measurements to `BENCH_fhe.json` for
 //! the CI trend line, together with canonical vs seeded wire sizes.
 //! Parallelism never changes results (see `tests/parallel_determinism`),
@@ -23,12 +23,27 @@ use std::time::Instant;
 use rand::{rngs::StdRng, SeedableRng};
 
 use rhychee_bench::{banner, emit_metrics_json, init_telemetry, Table};
-use rhychee_core::packing;
+use rhychee_core::packing::{self, PackingConfig};
+use rhychee_core::round::{ClientUpdate, ServerRound};
+use rhychee_core::Aggregation;
 use rhychee_fhe::ckks::modarith::find_ntt_primes;
 use rhychee_fhe::ckks::ntt::NttTable;
-use rhychee_fhe::ckks::CkksContext;
+use rhychee_fhe::ckks::{CkksCiphertext, CkksContext};
 use rhychee_fhe::params::CkksParams;
 use rhychee_par::Parallelism;
+
+/// The paper's dense slot layout, the one every row here measures.
+const DENSE: PackingConfig = PackingConfig::dense();
+
+/// One FedAvg round collecting `models` as the uploads of clients
+/// `0..models.len()`.
+fn fedavg_round(models: Vec<Vec<CkksCiphertext>>) -> ServerRound<Vec<CkksCiphertext>> {
+    let mut sr = ServerRound::new(0, Aggregation::FedAvg);
+    for (client_id, payload) in models.into_iter().enumerate() {
+        sr.accept(ClientUpdate { client_id, round: 0, steps: 1, payload });
+    }
+    sr
+}
 
 /// Median-of-runs wall time per call, in nanoseconds.
 fn time_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
@@ -81,7 +96,7 @@ fn run_encrypt_probe(params: &CkksParams, model_params: usize, iters: usize) {
     let (_sk, pk) = ctx.generate_keys(&mut rng);
     let flat: Vec<f32> = (0..model_params).map(|i| (i as f32 * 0.01).sin()).collect();
     let ns = time_ns(iters, || {
-        let cts = packing::encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt");
+        let cts = packing::encrypt_model_with(&ctx, &pk, &flat, &DENSE, &mut rng).expect("encrypt");
         std::hint::black_box(cts);
     });
     let backend = rhychee_fhe::ckks::ntt::active_kernel().name();
@@ -230,7 +245,8 @@ fn main() {
         // pays two polynomial products (each 2 forward + 1 inverse NTT
         // per prime) inside every encrypt instead of four forwards.
         let encrypt_coeff_ns = time_ns(iters, || {
-            let cts = packing::encrypt_model(&ctx_ref, &pk, &flat, &mut rng).expect("encrypt");
+            let cts = packing::encrypt_model_with(&ctx_ref, &pk, &flat, &DENSE, &mut rng)
+                .expect("encrypt");
             std::hint::black_box(cts);
         });
         samples.push(Sample {
@@ -241,7 +257,8 @@ fn main() {
         });
 
         let encrypt_ns = time_ns(iters, || {
-            let cts = packing::encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt");
+            let cts =
+                packing::encrypt_model_with(&ctx, &pk, &flat, &DENSE, &mut rng).expect("encrypt");
             std::hint::black_box(cts);
         });
         samples.push(Sample {
@@ -252,8 +269,8 @@ fn main() {
         });
 
         let encrypt_seeded_ns = time_ns(iters, || {
-            let cts =
-                packing::encrypt_model_symmetric(&ctx, &sk, &flat, &mut rng).expect("encrypt");
+            let cts = packing::encrypt_model_symmetric_with(&ctx, &sk, &flat, &DENSE, &mut rng)
+                .expect("encrypt");
             std::hint::black_box(cts);
         });
         samples.push(Sample {
@@ -264,12 +281,13 @@ fn main() {
         });
 
         let models: Vec<_> = (0..clients)
-            .map(|_| packing::encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt"))
+            .map(|_| {
+                packing::encrypt_model_with(&ctx, &pk, &flat, &DENSE, &mut rng).expect("encrypt")
+            })
             .collect();
-        let weights = vec![1.0 / clients as f64; clients];
+        let round = fedavg_round(models);
         let aggregate_ns = time_ns(iters, || {
-            let global =
-                packing::homomorphic_weighted_average(&ctx, &models, &weights).expect("aggregate");
+            let global = round.aggregate_ckks(&ctx).expect("aggregate");
             std::hint::black_box(global);
         });
         samples.push(Sample {
@@ -279,10 +297,10 @@ fn main() {
             backend: ntt_backend,
         });
 
-        let global =
-            packing::homomorphic_weighted_average(&ctx, &models, &weights).expect("aggregate");
+        let global = round.aggregate_ckks(&ctx).expect("aggregate");
         let decrypt_ns = time_ns(iters, || {
-            let flat = packing::decrypt_model(&ctx, &sk, &global, model_params).expect("decrypt");
+            let flat = packing::decrypt_model_with(&ctx, &sk, &global, model_params, &DENSE)
+                .expect("decrypt");
             std::hint::black_box(flat);
         });
         samples.push(Sample {
@@ -309,13 +327,14 @@ fn main() {
     let (fp_sk, fp_pk) = fp_ctx.generate_keys(&mut fp_rng);
     let fp_flat: Vec<f32> = (0..model_params).map(|i| (i as f32 * 0.01).sin()).collect();
     let fp_models: Vec<_> = (0..clients)
-        .map(|_| packing::encrypt_model(&fp_ctx, &fp_pk, &fp_flat, &mut fp_rng).expect("encrypt"))
+        .map(|_| {
+            packing::encrypt_model_with(&fp_ctx, &fp_pk, &fp_flat, &DENSE, &mut fp_rng)
+                .expect("encrypt")
+        })
         .collect();
-    let fp_weights = vec![1.0 / clients as f64; clients];
-    let fp_global =
-        packing::homomorphic_weighted_average(&fp_ctx, &fp_models, &fp_weights).expect("aggregate");
-    let fp_dec =
-        packing::decrypt_model(&fp_ctx, &fp_sk, &fp_global, model_params).expect("decrypt");
+    let fp_global = fedavg_round(fp_models).aggregate_ckks(&fp_ctx).expect("aggregate");
+    let fp_dec = packing::decrypt_model_with(&fp_ctx, &fp_sk, &fp_global, model_params, &DENSE)
+        .expect("decrypt");
     let fingerprint = decrypt_fingerprint(&fp_dec);
 
     // Wire sizes are degree-independent: canonical vs seeded bytes for
@@ -324,8 +343,8 @@ fn main() {
     let levels = size_ctx.primes().len();
     let ct_bytes_canonical = size_ctx.serialized_len(levels);
     let ct_bytes_seeded = size_ctx.serialized_len_seeded(levels);
-    let upload_canonical = packing::upload_bytes_canonical(&size_ctx, model_params);
-    let upload_seeded = packing::upload_bytes_seeded(&size_ctx, model_params);
+    let upload_canonical = packing::upload_bytes_canonical_with(&size_ctx, &DENSE, model_params);
+    let upload_seeded = packing::upload_bytes_seeded_with(&size_ctx, &DENSE, model_params);
 
     let mut table = Table::new(vec!["op", "backend", "threads", "ns/op", "ms/op", "speedup vs 1"]);
     for s in &samples {

@@ -18,9 +18,8 @@ pub enum FlError {
     NoiseBudget { clients: usize, budget: usize },
     /// The streaming aggregation path broke an invariant mid-round and
     /// had to abandon the fold (e.g. closing a sum no upload ever
-    /// reached, or retracting a contribution whose shape no longer
-    /// matches the accumulator). Distinct from a per-upload rejection —
-    /// those NACK the one upload and leave the round running.
+    /// reached). Distinct from a per-upload rejection — those NACK the
+    /// one upload and leave the round running.
     StreamingAbort(String),
 }
 

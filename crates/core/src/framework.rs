@@ -30,7 +30,7 @@ use rhychee_fhe::params::{CkksParams, LweParams};
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
 use rhychee_hdc::quantize::QuantizedModel;
 
-use crate::config::FlConfig;
+use crate::config::{Aggregation, FlConfig};
 use crate::error::FlError;
 use crate::packing;
 use crate::round::{self, ClientLocal, ClientUpdate, ServerRound};
@@ -200,16 +200,16 @@ impl Framework {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError`] on invalid config or FHE parameters.
+    /// Returns [`FlError::InvalidConfig`] for [`Aggregation::FedNova`]
+    /// (its per-client weights are unknown until the round closes, so
+    /// it is plaintext-only) and [`FlError`] on invalid config or FHE
+    /// parameters.
     pub fn hdc_encrypted(
         config: FlConfig,
         data: &TrainTest,
         params: CkksParams,
     ) -> Result<Self, FlError> {
-        let ctx = CkksContext::with_parallelism(params, config.parallelism)?;
-        let (sk, pk) = round::derive_ckks_keys(&ctx, config.seed);
-        let packing = packing::PackingConfig::dense();
-        Self::build(config, data, Pipeline::Ckks { ctx: Box::new(ctx), sk, pk, packing })
+        Self::build_ckks(config, data, params, packing::PackingConfig::dense())
     }
 
     /// Builds the encrypted CKKS federation with bit-interleaved slot
@@ -221,9 +221,8 @@ impl Framework {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::InvalidConfig`] for non-uniform aggregation
-    /// rules (FedNova weights cannot ride a lane-packed sum) and
-    /// [`FlError`] on invalid packing or FHE parameters.
+    /// As [`Framework::hdc_encrypted`], plus [`FlError`] on an invalid
+    /// packing config.
     pub fn hdc_encrypted_interleaved(
         config: FlConfig,
         data: &TrainTest,
@@ -231,15 +230,24 @@ impl Framework {
         bits: u32,
         clip: f32,
     ) -> Result<Self, FlError> {
-        if matches!(config.aggregation, crate::config::Aggregation::FedNova) {
+        let packing = packing::PackingConfig::interleaved(bits, clip, config.clients);
+        packing.validate()?;
+        Self::build_ckks(config, data, params, packing)
+    }
+
+    fn build_ckks(
+        config: FlConfig,
+        data: &TrainTest,
+        params: CkksParams,
+        packing: packing::PackingConfig,
+    ) -> Result<Self, FlError> {
+        if matches!(config.aggregation, Aggregation::FedNova) {
             return Err(FlError::InvalidConfig(
-                "bit-interleaved packing aggregates by uniform sum; FedNova's per-client \
-                 weights require the dense layout"
+                "encrypted aggregation folds uploads under one uniform weight; FedNova's \
+                 per-client weights are unknown until the round closes, so it is plaintext-only"
                     .into(),
             ));
         }
-        let packing = packing::PackingConfig::interleaved(bits, clip, config.clients);
-        packing.validate()?;
         let ctx = CkksContext::with_parallelism(params, config.parallelism)?;
         let (sk, pk) = round::derive_ckks_keys(&ctx, config.seed);
         Self::build(config, data, Pipeline::Ckks { ctx: Box::new(ctx), sk, pk, packing })
@@ -582,7 +590,7 @@ impl Framework {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Aggregation, EncoderKind};
+    use crate::config::EncoderKind;
     use rhychee_data::{DatasetKind, SyntheticConfig};
 
     fn small_data(kind: DatasetKind) -> TrainTest {
@@ -678,8 +686,13 @@ mod tests {
             .aggregation(Aggregation::FedNova)
             .build()
             .expect("valid");
-        let err = Framework::hdc_encrypted_interleaved(cfg, &data, CkksParams::toy(), 10, 1.0);
-        assert!(matches!(err, Err(FlError::InvalidConfig(_))));
+        // Neither CKKS layout can fold FedNova's per-client weights.
+        let interleaved =
+            Framework::hdc_encrypted_interleaved(cfg.clone(), &data, CkksParams::toy(), 10, 1.0);
+        let dense = Framework::hdc_encrypted(cfg, &data, CkksParams::toy());
+        for (layout, err) in [("interleaved", interleaved), ("dense", dense)] {
+            assert!(matches!(err, Err(FlError::InvalidConfig(_))), "{layout} accepted FedNova");
+        }
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! * [`packing`] — maximum ciphertext packing (⌈DL/(N/2)⌉ ciphertexts)
 //! * [`round`] — reusable `ClientLocal`/`ServerRound` building blocks
 //!   (shared with the networked `rhychee-net` runtime)
-//! * [`streaming`] — [`StreamingAggregator`]: per-frame zero-copy
-//!   folding of encrypted uploads, bit-identical to batch aggregation
+//! * [`streaming`] — [`StreamingAggregator`], the one CKKS aggregator:
+//!   fold each encrypted upload (owned or zero-copy from wire bytes),
+//!   then finalize with `1/P` or as a raw lane-safe sum
 //! * [`nn_fl`] — CNN / MLP / logistic-regression FedAvg baselines
 //! * [`noisy`] — end-to-end encrypted FL across a noisy packet channel
 //! * [`error`] — framework errors

@@ -23,10 +23,11 @@ use rhychee_hdc::model::{EncodedDataset, HdcModel};
 use rhychee_data::partition::dirichlet_partition_indices;
 use rhychee_hdc::encoding::{Encoder, RandomProjectionEncoder, RbfEncoder};
 
-use crate::config::{EncoderKind, FlConfig};
+use crate::config::{Aggregation, EncoderKind, FlConfig};
 use crate::error::FlError;
 use crate::framework::{RoundReport, RunReport};
 use crate::packing;
+use crate::round::{ClientUpdate, ServerRound};
 
 /// Channel configuration for a noisy federated run.
 #[derive(Debug, Clone, Copy)]
@@ -286,22 +287,28 @@ impl NoisyFederation {
         // server. Encryption gets its own span per client so its time is
         // separable from the interleaved channel transfers.
         let mut encrypt_time = std::time::Duration::ZERO;
-        let mut received: Vec<Vec<rhychee_fhe::ckks::CkksCiphertext>> = Vec::new();
-        for flat in &local_models {
+        let mut uploads = ServerRound::new(round, Aggregation::FedAvg);
+        for (client_id, flat) in local_models.iter().enumerate() {
             let span = telemetry::span("encrypt");
-            let cts = packing::encrypt_model(&self.ctx, &self.pk, flat, &mut self.rng)?;
+            let cts = packing::encrypt_model_with(
+                &self.ctx,
+                &self.pk,
+                flat,
+                &packing::PackingConfig::dense(),
+                &mut self.rng,
+            )?;
             encrypt_time += span.finish();
             let mut client_cts = Vec::with_capacity(cts.len());
             for ct in &cts {
                 let received_ct = self.send_ciphertext(ct);
                 client_cts.push(received_ct);
             }
-            received.push(client_cts);
+            uploads.accept(ClientUpdate { client_id, round, steps: 1, payload: client_cts });
         }
 
         // Homomorphic aggregation on the (possibly corrupted) uploads.
         let aggregate_span = telemetry::span("aggregate");
-        let global_cts = packing::homomorphic_average(&self.ctx, &received)?;
+        let global_cts = uploads.aggregate_ckks(&self.ctx)?;
         let aggregate_time = aggregate_span.finish();
 
         // Download: the encrypted global model crosses the channel once
@@ -317,7 +324,13 @@ impl NoisyFederation {
             downloaded.push(self.send_ciphertext(ct));
         }
         let decrypt_span = telemetry::span("decrypt");
-        self.global = packing::decrypt_model(&self.ctx, &self.sk, &downloaded, self.global.len())?;
+        self.global = packing::decrypt_model_with(
+            &self.ctx,
+            &self.sk,
+            &downloaded,
+            self.global.len(),
+            &packing::PackingConfig::dense(),
+        )?;
         let decrypt_time = decrypt_span.finish();
 
         let payload_bits = (self.ctx.serialize(&global_cts[0]).len() * 8 * global_cts.len()) as u64;

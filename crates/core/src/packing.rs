@@ -6,16 +6,25 @@
 //! flattens the whole `L × D` model and fills every slot of every
 //! ciphertext, needing exactly `⌈DL / (N/2)⌉` ciphertexts.
 //!
+//! Every operation has one entry point that takes a [`PackingConfig`]:
+//! [`encrypt_model_with`] / [`encrypt_model_symmetric_with`] chunk the
+//! model by layout and run one sample-and-encrypt loop,
+//! [`decrypt_model_with`] runs one parallel decrypt and a layout-specific
+//! unpack, and [`ciphertexts_needed_with`] / `upload_bytes_*_with` size
+//! an upload. [`PackingConfig::dense`] is the paper's layout.
+//!
 //! The [`PackingLayout::BitInterleaved`] mode (FedBit-style co-design)
 //! goes further: coordinates are quantized to `bits` bits and several
 //! are packed per slot at a lane stride wide enough that the
 //! homomorphic *sum* of up to `max_clients` uploads never carries
 //! across lanes. Aggregation is then a pure ciphertext addition
-//! ([`homomorphic_sum`]); the division by the contributor count moves
-//! to after decryption. The count itself travels in-band: every client
-//! packs the constant `1` into a reserved counter lane (lane 0 of the
-//! first slot), so the summed aggregate is self-describing — dropouts
-//! and partial quorums need no side channel.
+//! ([`StreamingAggregator::finish_sum`]); the division by the
+//! contributor count moves to after decryption. The count itself
+//! travels in-band: every client packs the constant `1` into a reserved
+//! counter lane (lane 0 of the first slot), so the summed aggregate is
+//! self-describing — dropouts and partial quorums need no side channel.
+//!
+//! [`StreamingAggregator::finish_sum`]: crate::streaming::StreamingAggregator::finish_sum
 
 use rand::Rng;
 
@@ -41,7 +50,7 @@ pub struct PackingConfig {
 
 impl PackingConfig {
     /// The paper's dense one-coordinate-per-slot layout.
-    pub fn dense() -> Self {
+    pub const fn dense() -> Self {
         PackingConfig { layout: PackingLayout::Dense, clip: 0.0, max_clients: 0 }
     }
 
@@ -86,19 +95,6 @@ impl PackingConfig {
     }
 }
 
-/// Bytes needed to upload a packed model in the canonical (full `c1`)
-/// wire format.
-pub fn upload_bytes_canonical(ctx: &CkksContext, num_params: usize) -> usize {
-    ciphertexts_needed(num_params, ctx.slot_count()) * ctx.serialized_len(ctx.primes().len())
-}
-
-/// Bytes needed to upload a packed model in the seed-compressed format
-/// (fresh symmetric ciphertexts only): roughly half the canonical size,
-/// since a 32-byte seed stands in for the full `c1` component.
-pub fn upload_bytes_seeded(ctx: &CkksContext, num_params: usize) -> usize {
-    ciphertexts_needed(num_params, ctx.slot_count()) * ctx.serialized_len_seeded(ctx.primes().len())
-}
-
 /// Splits a flat parameter vector into slot-sized chunks (the last chunk
 /// zero-padded implicitly by the encoder).
 pub fn chunk_params(flat: &[f32], slots: usize) -> Vec<Vec<f64>> {
@@ -106,20 +102,16 @@ pub fn chunk_params(flat: &[f32], slots: usize) -> Vec<Vec<f64>> {
     flat.chunks(slots).map(|c| c.iter().map(|&v| f64::from(v)).collect()).collect()
 }
 
-/// Number of ciphertexts required for `num_params` parameters:
-/// `⌈DL / (N/2)⌉`.
-pub fn ciphertexts_needed(num_params: usize, slots: usize) -> usize {
-    num_params.div_ceil(slots)
-}
-
-/// Layout-aware ciphertext count: `Dense` matches
-/// [`ciphertexts_needed`]; `BitInterleaved` divides the model across
-/// `lanes_per_slot` coordinates per slot (plus the counter slot).
+/// Number of ciphertexts one upload of `num_params` parameters needs:
+/// `⌈DL / (N/2)⌉` under the dense layout; `BitInterleaved` divides the
+/// model across `lanes_per_slot` coordinates per slot (plus the counter
+/// slot).
 pub fn ciphertexts_needed_with(cfg: &PackingConfig, num_params: usize, slots: usize) -> usize {
     cfg.slots_for(num_params).div_ceil(slots)
 }
 
-/// Layout-aware canonical upload bytes (cf. [`upload_bytes_canonical`]).
+/// Bytes needed to upload a packed model in the canonical (full `c1`)
+/// wire format.
 pub fn upload_bytes_canonical_with(
     ctx: &CkksContext,
     cfg: &PackingConfig,
@@ -129,7 +121,9 @@ pub fn upload_bytes_canonical_with(
         * ctx.serialized_len(ctx.primes().len())
 }
 
-/// Layout-aware seed-compressed upload bytes (cf. [`upload_bytes_seeded`]).
+/// Bytes needed to upload a packed model in the seed-compressed format
+/// (fresh symmetric ciphertexts only): roughly half the canonical size,
+/// since a 32-byte seed stands in for the full `c1` component.
 pub fn upload_bytes_seeded_with(
     ctx: &CkksContext,
     cfg: &PackingConfig,
@@ -179,8 +173,25 @@ pub fn interleaved_chunks(
     Ok(words.chunks(slots).map(<[f64]>::to_vec).collect())
 }
 
-/// Layout-aware [`encrypt_model`]: `Dense` delegates; `BitInterleaved`
-/// encrypts the lane-packed slot words from [`interleaved_chunks`].
+/// The slot-sized plaintext chunks of `flat` under `cfg`'s layout:
+/// [`chunk_params`] for `Dense`, [`interleaved_chunks`] otherwise.
+fn layout_chunks(
+    cfg: &PackingConfig,
+    flat: &[f32],
+    slots: usize,
+) -> Result<Vec<Vec<f64>>, FheError> {
+    match cfg.layout {
+        PackingLayout::Dense => Ok(chunk_params(flat, slots)),
+        PackingLayout::BitInterleaved { .. } => interleaved_chunks(cfg, flat, slots),
+    }
+}
+
+/// Encrypts a flat model under the public key, packed per `cfg`.
+///
+/// The RNG draws happen sequentially in chunk order — exactly the
+/// stream `ctx.encrypt` would consume — so the ciphertexts are
+/// bit-identical for every parallelism degree; only the deterministic
+/// polynomial arithmetic fans out.
 ///
 /// # Errors
 ///
@@ -192,24 +203,24 @@ pub fn encrypt_model_with<R: Rng + ?Sized>(
     cfg: &PackingConfig,
     rng: &mut R,
 ) -> Result<Vec<CkksCiphertext>, FheError> {
-    match cfg.layout {
-        PackingLayout::Dense => encrypt_model(ctx, pk, flat, rng),
-        PackingLayout::BitInterleaved { .. } => {
-            let chunks = interleaved_chunks(cfg, flat, ctx.slot_count())?;
-            // Same sequential-draw / parallel-arithmetic split as
-            // `encrypt_model`, so ciphertexts are degree-independent.
-            let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_encrypt_noise(rng)).collect();
-            rhychee_par::map(ctx.parallelism(), chunks.len(), |i| {
-                ctx.encrypt_with_noise(pk, &chunks[i], &noises[i])
-            })
-            .into_iter()
-            .collect()
-        }
-    }
+    let chunks = layout_chunks(cfg, flat, ctx.slot_count())?;
+    let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_encrypt_noise(rng)).collect();
+    rhychee_par::map(ctx.parallelism(), chunks.len(), |i| {
+        ctx.encrypt_with_noise(pk, &chunks[i], &noises[i])
+    })
+    .into_iter()
+    .collect()
 }
 
-/// Layout-aware [`encrypt_model_symmetric`] — seeded ciphertexts for
-/// the seed-compressed wire format under either layout.
+/// Encrypts a flat model under the *secret* key, packed per `cfg`,
+/// producing seeded ciphertexts eligible for the seed-compressed wire
+/// format ([`rhychee_fhe::ckks::CkksContext::serialize_seeded`]).
+///
+/// Rhychee-FL's shared-secret-key deployment (paper §IV-A) lets every
+/// client encrypt symmetrically, so uploads can ship a 32-byte seed in
+/// place of the full `c1` polynomial — roughly halving upload bytes.
+/// Seeds and noise come off the RNG in chunk order, as in
+/// [`encrypt_model_with`].
 ///
 /// # Errors
 ///
@@ -221,35 +232,33 @@ pub fn encrypt_model_symmetric_with<R: Rng + ?Sized>(
     cfg: &PackingConfig,
     rng: &mut R,
 ) -> Result<Vec<CkksCiphertext>, FheError> {
-    match cfg.layout {
-        PackingLayout::Dense => encrypt_model_symmetric(ctx, sk, flat, rng),
-        PackingLayout::BitInterleaved { .. } => {
-            let chunks = interleaved_chunks(cfg, flat, ctx.slot_count())?;
-            let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_symmetric_noise(rng)).collect();
-            rhychee_par::map(ctx.parallelism(), chunks.len(), |i| {
-                ctx.encrypt_symmetric_with_noise(sk, &chunks[i], &noises[i])
-            })
-            .into_iter()
-            .collect()
-        }
-    }
+    let chunks = layout_chunks(cfg, flat, ctx.slot_count())?;
+    let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_symmetric_noise(rng)).collect();
+    rhychee_par::map(ctx.parallelism(), chunks.len(), |i| {
+        ctx.encrypt_symmetric_with_noise(sk, &chunks[i], &noises[i])
+    })
+    .into_iter()
+    .collect()
 }
 
-/// Layout-aware [`decrypt_model`].
+/// Decrypts a packed model back to a flat parameter vector of length
+/// `num_params`. Ciphertexts decrypt independently and concatenate in
+/// order, so the result is bit-identical for every parallelism degree.
 ///
-/// `Dense` delegates unchanged. `BitInterleaved` expects the
-/// ciphertexts to be the homomorphic **sum** of `k ≥ 1` client uploads
-/// (a single fresh upload is the `k = 1` case): it reads `k` from the
-/// in-band counter lane, un-biases each lane sum, and returns the mean
-/// model `(Σᵢ qᵢ)/k` dequantized — uniform FedAvg with the division
-/// done in plaintext, where it cannot disturb lane boundaries.
+/// `Dense` reads the first `num_params` slots. `BitInterleaved` expects
+/// the ciphertexts to be the homomorphic **sum** of `k ≥ 1` client
+/// uploads (a single fresh upload is the `k = 1` case): it reads `k`
+/// from the in-band counter lane, un-biases each lane sum, and returns
+/// the mean model `(Σᵢ qᵢ)/k` dequantized — uniform FedAvg with the
+/// division done in plaintext, where it cannot disturb lane boundaries.
 ///
 /// # Errors
 ///
 /// Returns [`FheError::Deserialize`] when the ciphertexts carry too few
-/// slots, a slot decodes outside the packed integer range (noise budget
-/// exhausted or layout mismatch), or the counter lane is outside
-/// `1..=max_clients`.
+/// slots (e.g. a truncated or mismatched payload received over the
+/// wire) and, for `BitInterleaved`, when a slot decodes outside the
+/// packed integer range (noise budget exhausted or layout mismatch) or
+/// the counter lane is outside `1..=max_clients`.
 pub fn decrypt_model_with(
     ctx: &CkksContext,
     sk: &CkksSecretKey,
@@ -257,23 +266,41 @@ pub fn decrypt_model_with(
     num_params: usize,
     cfg: &PackingConfig,
 ) -> Result<Vec<f32>, FheError> {
-    let PackingLayout::BitInterleaved { bits } = cfg.layout else {
-        return decrypt_model(ctx, sk, cts, num_params);
-    };
-    cfg.validate()?;
+    if cfg.is_interleaved() {
+        cfg.validate()?;
+    }
+    let decrypted = rhychee_par::map(ctx.parallelism(), cts.len(), |i| ctx.decrypt(sk, &cts[i]));
+    let slots = decrypted.iter().flatten().copied();
+    match cfg.layout {
+        PackingLayout::Dense => {
+            let flat: Vec<f32> = slots.take(num_params).map(|v| v as f32).collect();
+            if flat.len() != num_params {
+                return Err(FheError::Deserialize(format!(
+                    "ciphertexts carry {} parameters, expected {num_params}",
+                    flat.len()
+                )));
+            }
+            Ok(flat)
+        }
+        PackingLayout::BitInterleaved { bits } => unpack_interleaved(cfg, bits, slots, num_params),
+    }
+}
+
+/// The `BitInterleaved` half of [`decrypt_model_with`]: rounds the
+/// decrypted slots back to packed words and dequantizes the mean.
+fn unpack_interleaved(
+    cfg: &PackingConfig,
+    bits: u32,
+    slots: impl Iterator<Item = f64>,
+    num_params: usize,
+) -> Result<Vec<f32>, FheError> {
     let lane_bits = cfg.layout.lane_bits(cfg.max_clients);
     let lanes = cfg.layout.lanes_per_slot(cfg.max_clients);
     let words_needed = cfg.slots_for(num_params);
-    let decrypted = rhychee_par::map(ctx.parallelism(), cts.len(), |i| ctx.decrypt(sk, &cts[i]));
-    let mut words = Vec::with_capacity(words_needed);
-    'outer: for values in &decrypted {
-        for &v in values {
-            if words.len() == words_needed {
-                break 'outer;
-            }
-            words.push(round_packed_word(v, lane_bits, lanes)?);
-        }
-    }
+    let words = slots
+        .take(words_needed)
+        .map(|v| round_packed_word(v, lane_bits, lanes))
+        .collect::<Result<Vec<u64>, FheError>>()?;
     if words.len() != words_needed {
         return Err(FheError::Deserialize(format!(
             "ciphertexts carry {} packed slots, expected {words_needed}",
@@ -311,206 +338,39 @@ fn round_packed_word(v: f64, lane_bits: u32, lanes: usize) -> Result<u64, FheErr
     Ok(r as u64)
 }
 
-/// Homomorphically sums packed models: `Σᵢ Enc(LMᵢ)`, ciphertext by
-/// ciphertext — the lane-safe aggregation for [`PackingLayout::
-/// BitInterleaved`] (no plaintext multiply ever touches the packed
-/// slots). The mean is recovered at decryption from the in-band
-/// contributor counter ([`decrypt_model_with`]).
-///
-/// # Errors
-///
-/// Returns [`FheError`] on empty input, inconsistent ciphertext counts,
-/// or incompatible ciphertexts.
-pub fn homomorphic_sum(
-    ctx: &CkksContext,
-    client_models: &[Vec<CkksCiphertext>],
-) -> Result<Vec<CkksCiphertext>, FheError> {
-    if client_models.is_empty() {
-        return Err(FheError::InvalidParams("no client models to aggregate".into()));
-    }
-    let chunks = client_models[0].len();
-    if client_models.iter().any(|m| m.len() != chunks) {
-        return Err(FheError::InvalidParams(
-            "clients submitted differing ciphertext counts".into(),
-        ));
-    }
-    // Chunks aggregate independently; clients are accumulated in
-    // submission order, so the sum is degree-independent.
-    rhychee_par::map(ctx.parallelism(), chunks, |chunk_idx| {
-        let mut acc = client_models[0][chunk_idx].clone();
-        for client in &client_models[1..] {
-            ctx.add_assign(&mut acc, &client[chunk_idx])?;
-        }
-        Ok(acc)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Encrypts a flat model with maximum packing under the public key.
-///
-/// # Errors
-///
-/// Propagates [`FheError`] from encryption.
-pub fn encrypt_model<R: Rng + ?Sized>(
-    ctx: &CkksContext,
-    pk: &CkksPublicKey,
-    flat: &[f32],
-    rng: &mut R,
-) -> Result<Vec<CkksCiphertext>, FheError> {
-    let chunks = chunk_params(flat, ctx.slot_count());
-    // The RNG draws happen sequentially in chunk order — exactly the
-    // stream `ctx.encrypt` would consume — so the ciphertexts are
-    // bit-identical for every parallelism degree; only the
-    // deterministic polynomial arithmetic fans out.
-    let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_encrypt_noise(rng)).collect();
-    rhychee_par::map(ctx.parallelism(), chunks.len(), |i| {
-        ctx.encrypt_with_noise(pk, &chunks[i], &noises[i])
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Encrypts a flat model with maximum packing under the *secret* key,
-/// producing seeded ciphertexts eligible for the seed-compressed wire
-/// format ([`rhychee_fhe::ckks::CkksContext::serialize_seeded`]).
-///
-/// Rhychee-FL's shared-secret-key deployment (paper §IV-A) lets every
-/// client encrypt symmetrically, so uploads can ship a 32-byte seed in
-/// place of the full `c1` polynomial — roughly halving upload bytes.
-///
-/// # Errors
-///
-/// Propagates [`FheError`] from encryption.
-pub fn encrypt_model_symmetric<R: Rng + ?Sized>(
-    ctx: &CkksContext,
-    sk: &CkksSecretKey,
-    flat: &[f32],
-    rng: &mut R,
-) -> Result<Vec<CkksCiphertext>, FheError> {
-    let chunks = chunk_params(flat, ctx.slot_count());
-    // Same sequential-draw / parallel-arithmetic split as
-    // `encrypt_model`: seeds and noise come off the RNG in chunk order,
-    // so the ciphertexts are bit-identical for every parallelism degree.
-    let noises: Vec<_> = chunks.iter().map(|_| ctx.sample_symmetric_noise(rng)).collect();
-    rhychee_par::map(ctx.parallelism(), chunks.len(), |i| {
-        ctx.encrypt_symmetric_with_noise(sk, &chunks[i], &noises[i])
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Decrypts a packed model back to a flat parameter vector of length
-/// `num_params`.
-///
-/// # Errors
-///
-/// Returns [`FheError::Deserialize`] if the ciphertexts carry fewer
-/// than `num_params` slots — e.g. a truncated or mismatched payload
-/// received over the wire.
-pub fn decrypt_model(
-    ctx: &CkksContext,
-    sk: &CkksSecretKey,
-    cts: &[CkksCiphertext],
-    num_params: usize,
-) -> Result<Vec<f32>, FheError> {
-    // Ciphertexts decrypt independently; concatenation order is fixed,
-    // so the flat model is bit-identical for every degree.
-    let decrypted = rhychee_par::map(ctx.parallelism(), cts.len(), |i| ctx.decrypt(sk, &cts[i]));
-    let mut flat = Vec::with_capacity(num_params);
-    for values in decrypted {
-        for v in values {
-            if flat.len() == num_params {
-                break;
-            }
-            flat.push(v as f32);
-        }
-    }
-    if flat.len() != num_params {
-        return Err(FheError::Deserialize(format!(
-            "ciphertexts carry {} parameters, expected {num_params}",
-            flat.len()
-        )));
-    }
-    Ok(flat)
-}
-
-/// Homomorphically averages packed models from several clients:
-/// `HomMul(Σᵢ Enc(LMᵢ), 1/P)` (paper Eq. 2), ciphertext by ciphertext.
-///
-/// # Errors
-///
-/// Returns [`FheError`] if clients submitted inconsistent ciphertext
-/// counts or incompatible ciphertexts.
-pub fn homomorphic_average(
-    ctx: &CkksContext,
-    client_models: &[Vec<CkksCiphertext>],
-) -> Result<Vec<CkksCiphertext>, FheError> {
-    let p = client_models.len();
-    if p == 0 {
-        return Err(FheError::InvalidParams("no client models to aggregate".into()));
-    }
-    homomorphic_weighted_average(ctx, client_models, &vec![1.0 / p as f64; p])
-}
-
-/// Homomorphically computes a weighted average `Σᵢ wᵢ · Enc(LMᵢ)`.
-///
-/// Generalizes [`homomorphic_average`] to sample-count-weighted FedAvg
-/// (McMahan et al.): each client's ciphertexts are scaled by its public
-/// plaintext weight before summation. Weights must sum to ≈ 1 so the
-/// result stays in the global model's dynamic range.
-///
-/// # Errors
-///
-/// Returns [`FheError`] on empty input, mismatched weight/model counts,
-/// inconsistent ciphertext counts, or incompatible ciphertexts.
-pub fn homomorphic_weighted_average(
-    ctx: &CkksContext,
-    client_models: &[Vec<CkksCiphertext>],
-    weights: &[f64],
-) -> Result<Vec<CkksCiphertext>, FheError> {
-    if client_models.is_empty() {
-        return Err(FheError::InvalidParams("no client models to aggregate".into()));
-    }
-    if client_models.len() != weights.len() {
-        return Err(FheError::InvalidParams(format!(
-            "{} models but {} weights",
-            client_models.len(),
-            weights.len()
-        )));
-    }
-    let chunks = client_models[0].len();
-    if client_models.iter().any(|m| m.len() != chunks) {
-        return Err(FheError::InvalidParams(
-            "clients submitted differing ciphertext counts".into(),
-        ));
-    }
-    // Chunks aggregate independently; within a chunk, clients are
-    // accumulated in submission order, so the packed global model is
-    // bit-identical for every parallelism degree.
-    rhychee_par::map(ctx.parallelism(), chunks, |chunk_idx| {
-        let mut acc = ctx.mul_scalar(&client_models[0][chunk_idx], weights[0]);
-        for (client, &w) in client_models[1..].iter().zip(&weights[1..]) {
-            let scaled = ctx.mul_scalar(&client[chunk_idx], w);
-            ctx.add_assign(&mut acc, &scaled)?;
-        }
-        Ok(acc)
-    })
-    .into_iter()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Aggregation;
+    use crate::streaming::StreamingAggregator;
     use rand::{rngs::StdRng, SeedableRng};
     use rhychee_fhe::params::CkksParams;
+
+    const DENSE: PackingConfig = PackingConfig::dense();
 
     fn setup() -> (CkksContext, CkksSecretKey, CkksPublicKey, StdRng) {
         let ctx = CkksContext::new(CkksParams::toy()).expect("valid");
         let mut rng = StdRng::seed_from_u64(1);
         let (sk, pk) = ctx.generate_keys(&mut rng);
         (ctx, sk, pk, rng)
+    }
+
+    /// Folds `models` through the aggregator and closes the round:
+    /// the raw sum when `sum_only`, otherwise the Eq. 2 average.
+    fn aggregate(
+        ctx: &CkksContext,
+        models: &[Vec<CkksCiphertext>],
+        sum_only: bool,
+    ) -> Vec<CkksCiphertext> {
+        let mut agg = StreamingAggregator::new(0, Aggregation::FedAvg).expect("fedavg");
+        for (id, m) in models.iter().enumerate() {
+            assert!(agg.fold(ctx, id, 0, m).expect("fold"), "client {id} rejected");
+        }
+        if sum_only {
+            agg.finish_sum().expect("sum")
+        } else {
+            agg.finish(ctx).expect("average")
+        }
     }
 
     #[test]
@@ -527,20 +387,20 @@ mod tests {
     fn ciphertext_count_formula() {
         // The paper's headline numbers: D·L = 20,000 at N/2 = 4096 slots
         // → 5 ciphertexts; the 43,484-param CNN → 11.
-        assert_eq!(ciphertexts_needed(20_000, 4096), 5);
-        assert_eq!(ciphertexts_needed(43_484, 4096), 11);
-        assert_eq!(ciphertexts_needed(1, 4096), 1);
-        assert_eq!(ciphertexts_needed(4096, 4096), 1);
-        assert_eq!(ciphertexts_needed(4097, 4096), 2);
+        assert_eq!(ciphertexts_needed_with(&DENSE, 20_000, 4096), 5);
+        assert_eq!(ciphertexts_needed_with(&DENSE, 43_484, 4096), 11);
+        assert_eq!(ciphertexts_needed_with(&DENSE, 1, 4096), 1);
+        assert_eq!(ciphertexts_needed_with(&DENSE, 4096, 4096), 1);
+        assert_eq!(ciphertexts_needed_with(&DENSE, 4097, 4096), 2);
     }
 
     #[test]
     fn encrypt_decrypt_model_round_trip() {
         let (ctx, sk, pk, mut rng) = setup();
         let flat: Vec<f32> = (0..700).map(|i| (i as f32 * 0.01).sin()).collect();
-        let cts = encrypt_model(&ctx, &pk, &flat, &mut rng).expect("encrypt");
-        assert_eq!(cts.len(), ciphertexts_needed(700, ctx.slot_count()));
-        let back = decrypt_model(&ctx, &sk, &cts, 700).expect("decrypt");
+        let cts = encrypt_model_with(&ctx, &pk, &flat, &DENSE, &mut rng).expect("encrypt");
+        assert_eq!(cts.len(), ciphertexts_needed_with(&DENSE, 700, ctx.slot_count()));
+        let back = decrypt_model_with(&ctx, &sk, &cts, 700, &DENSE).expect("decrypt");
         for (a, b) in flat.iter().zip(&back) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
@@ -550,16 +410,17 @@ mod tests {
     fn symmetric_model_round_trip_and_seeded_bytes() {
         let (ctx, sk, _, mut rng) = setup();
         let flat: Vec<f32> = (0..700).map(|i| (i as f32 * 0.01).cos()).collect();
-        let cts = encrypt_model_symmetric(&ctx, &sk, &flat, &mut rng).expect("encrypt");
+        let cts =
+            encrypt_model_symmetric_with(&ctx, &sk, &flat, &DENSE, &mut rng).expect("encrypt");
         assert!(cts.iter().all(rhychee_fhe::ckks::CkksCiphertext::is_seeded));
-        let back = decrypt_model(&ctx, &sk, &cts, 700).expect("decrypt");
+        let back = decrypt_model_with(&ctx, &sk, &cts, 700, &DENSE).expect("decrypt");
         for (a, b) in flat.iter().zip(&back) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
         // The seeded wire format carries one packed component instead of
         // two, so a full-model upload shrinks by ~2×.
-        let canonical = upload_bytes_canonical(&ctx, 700);
-        let seeded = upload_bytes_seeded(&ctx, 700);
+        let canonical = upload_bytes_canonical_with(&ctx, &DENSE, 700);
+        let seeded = upload_bytes_seeded_with(&ctx, &DENSE, 700);
         assert_eq!(
             seeded,
             cts.iter().map(|ct| ctx.serialize_seeded(ct).expect("seeded").len()).sum::<usize>()
@@ -568,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn homomorphic_average_matches_plaintext() {
+    fn folded_average_matches_plaintext() {
         let (ctx, sk, pk, mut rng) = setup();
         let p = 4;
         let models: Vec<Vec<f32>> = (0..p)
@@ -576,47 +437,14 @@ mod tests {
             .collect();
         let encrypted: Vec<Vec<CkksCiphertext>> = models
             .iter()
-            .map(|m| encrypt_model(&ctx, &pk, m, &mut rng).expect("encrypt"))
+            .map(|m| encrypt_model_with(&ctx, &pk, m, &DENSE, &mut rng).expect("encrypt"))
             .collect();
-        let global = homomorphic_average(&ctx, &encrypted).expect("aggregate");
-        let back = decrypt_model(&ctx, &sk, &global, 300).expect("decrypt");
+        let global = aggregate(&ctx, &encrypted, false);
+        let back = decrypt_model_with(&ctx, &sk, &global, 300, &DENSE).expect("decrypt");
         for i in 0..300 {
             let expected: f32 = models.iter().map(|m| m[i]).sum::<f32>() / p as f32;
             assert!((back[i] - expected).abs() < 1e-2, "param {i}: {} vs {expected}", back[i]);
         }
-    }
-
-    #[test]
-    fn weighted_average_matches_plaintext() {
-        let (ctx, sk, pk, mut rng) = setup();
-        let models: Vec<Vec<f32>> = vec![vec![1.0; 100], vec![5.0; 100], vec![9.0; 100]];
-        let weights = [0.5f64, 0.3, 0.2];
-        let encrypted: Vec<Vec<CkksCiphertext>> = models
-            .iter()
-            .map(|m| encrypt_model(&ctx, &pk, m, &mut rng).expect("encrypt"))
-            .collect();
-        let global = homomorphic_weighted_average(&ctx, &encrypted, &weights).expect("aggregate");
-        let back = decrypt_model(&ctx, &sk, &global, 100).expect("decrypt");
-        let expected = 0.5 * 1.0 + 0.3 * 5.0 + 0.2 * 9.0;
-        for v in &back {
-            assert!((v - expected as f32).abs() < 1e-2, "{v} vs {expected}");
-        }
-    }
-
-    #[test]
-    fn weighted_average_rejects_mismatched_weights() {
-        let (ctx, _, pk, mut rng) = setup();
-        let a = encrypt_model(&ctx, &pk, &[1.0; 10], &mut rng).expect("encrypt");
-        assert!(homomorphic_weighted_average(&ctx, &[a], &[0.5, 0.5]).is_err());
-    }
-
-    #[test]
-    fn aggregation_rejects_inconsistent_counts() {
-        let (ctx, _, pk, mut rng) = setup();
-        let a = encrypt_model(&ctx, &pk, &vec![1.0; 300], &mut rng).expect("encrypt");
-        let b = encrypt_model(&ctx, &pk, &vec![1.0; 600], &mut rng).expect("encrypt");
-        assert!(homomorphic_average(&ctx, &[a, b]).is_err());
-        assert!(homomorphic_average(&ctx, &[]).is_err());
     }
 
     #[test]
@@ -648,7 +476,7 @@ mod tests {
             .iter()
             .map(|m| encrypt_model_with(&ctx, &pk, m, &cfg, &mut rng).expect("encrypt"))
             .collect();
-        let global = homomorphic_sum(&ctx, &encrypted).expect("sum");
+        let global = aggregate(&ctx, &encrypted, true);
         let back = decrypt_model_with(&ctx, &sk, &global, 300, &cfg).expect("decrypt");
         // The counter lane carried k = 4, so the mean comes back within
         // one quantization step of the plaintext FedAvg.
@@ -670,7 +498,7 @@ mod tests {
             .iter()
             .map(|m| encrypt_model_with(&ctx, &pk, m, &cfg, &mut rng).expect("encrypt"))
             .collect();
-        let global = homomorphic_sum(&ctx, &encrypted).expect("sum");
+        let global = aggregate(&ctx, &encrypted, true);
         let back = decrypt_model_with(&ctx, &sk, &global, 50, &cfg).expect("decrypt");
         for v in &back {
             assert!((v - 0.2).abs() <= 1.0 / 127.0, "{v}");
@@ -685,7 +513,7 @@ mod tests {
         let slots = ctx.slot_count();
         let dense_cts = ciphertexts_needed_with(&dense, 2000, slots);
         let inter_cts = ciphertexts_needed_with(&cfg, 2000, slots);
-        assert_eq!(dense_cts, ciphertexts_needed(2000, slots));
+        assert_eq!(dense_cts, 2000usize.div_ceil(slots));
         // 3 lanes/slot at bits=8, P=4: ⌈(1 + ⌈2000/3⌉)/256⌉ = 3 vs 8.
         assert!(inter_cts < dense_cts, "{inter_cts} vs {dense_cts}");
         assert!(
@@ -695,10 +523,6 @@ mod tests {
         assert!(
             upload_bytes_seeded_with(&ctx, &cfg, 2000)
                 < upload_bytes_seeded_with(&ctx, &dense, 2000)
-        );
-        assert_eq!(
-            upload_bytes_canonical_with(&ctx, &dense, 2000),
-            upload_bytes_canonical(&ctx, 2000)
         );
         // The analytical byte model must reconcile exactly with a real
         // serialized upload (EXPERIMENTS.md Table I accounting).
@@ -749,13 +573,14 @@ mod tests {
         let encrypted: Vec<_> = (0..3)
             .map(|_| encrypt_model_with(&ctx, &pk, &flat, &cfg, &mut rng).expect("encrypt"))
             .collect();
-        let over = homomorphic_sum(&ctx, &encrypted).expect("sum");
+        let over = aggregate(&ctx, &encrypted, true);
         assert!(decrypt_model_with(&ctx, &sk, &over, 10, &cfg).is_err(), "counter > max_clients");
         // Too few ciphertexts for the declared parameter count.
         let one = encrypt_model_with(&ctx, &pk, &flat, &cfg, &mut rng).expect("encrypt");
         assert!(decrypt_model_with(&ctx, &sk, &one, 10_000, &cfg).is_err(), "short payload");
         // A dense ciphertext stream is not a packed integer stream.
-        let dense_cts = encrypt_model(&ctx, &pk, &[0.37f32; 10], &mut rng).expect("encrypt");
+        let dense_cts =
+            encrypt_model_with(&ctx, &pk, &[0.37f32; 10], &DENSE, &mut rng).expect("encrypt");
         assert!(decrypt_model_with(&ctx, &sk, &dense_cts, 10, &cfg).is_err(), "layout mismatch");
     }
 
@@ -764,7 +589,7 @@ mod tests {
         let (ctx, _, pk, mut rng) = setup();
         // One model the size of exactly 2.5 ciphertexts.
         let n = ctx.slot_count() * 5 / 2;
-        let cts = encrypt_model(&ctx, &pk, &vec![0.5; n], &mut rng).expect("encrypt");
+        let cts = encrypt_model_with(&ctx, &pk, &vec![0.5; n], &DENSE, &mut rng).expect("encrypt");
         assert_eq!(cts.len(), 3, "⌈2.5⌉ = 3 ciphertexts, no per-row waste");
     }
 }

@@ -29,7 +29,7 @@ use rhychee_par::Parallelism;
 
 use crate::config::{Aggregation, EncoderKind, FlConfig};
 use crate::error::FlError;
-use crate::packing;
+use crate::streaming::StreamingAggregator;
 
 /// Salt for the shared CKKS key-generation stream (paper §IV-A: the
 /// secret key is shared by all clients, never held by the server).
@@ -216,68 +216,6 @@ impl ClientLocal {
     pub fn load_global(&mut self, global: &[f32]) {
         self.model.load_flat(global);
     }
-
-    /// Trains and encrypts in one step: the CKKS upload path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FheError`] from encryption.
-    pub fn encrypt_update(
-        &mut self,
-        ctx: &CkksContext,
-        pk: &CkksPublicKey,
-        flat: &[f32],
-    ) -> Result<Vec<CkksCiphertext>, FheError> {
-        packing::encrypt_model(ctx, pk, flat, &mut self.rng)
-    }
-
-    /// Trains and encrypts symmetrically under the shared secret key,
-    /// producing seeded ciphertexts for the seed-compressed upload path
-    /// (roughly half the canonical wire bytes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FheError`] from encryption.
-    pub fn encrypt_update_symmetric(
-        &mut self,
-        ctx: &CkksContext,
-        sk: &CkksSecretKey,
-        flat: &[f32],
-    ) -> Result<Vec<CkksCiphertext>, FheError> {
-        packing::encrypt_model_symmetric(ctx, sk, flat, &mut self.rng)
-    }
-
-    /// Layout-aware [`ClientRound::encrypt_update`]: `Dense` matches it
-    /// bit for bit; `BitInterleaved` packs several quantized
-    /// coordinates per slot ([`packing::encrypt_model_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FheError`] from validation or encryption.
-    pub fn encrypt_update_with(
-        &mut self,
-        ctx: &CkksContext,
-        pk: &CkksPublicKey,
-        flat: &[f32],
-        cfg: &packing::PackingConfig,
-    ) -> Result<Vec<CkksCiphertext>, FheError> {
-        packing::encrypt_model_with(ctx, pk, flat, cfg, &mut self.rng)
-    }
-
-    /// Layout-aware [`ClientRound::encrypt_update_symmetric`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FheError`] from validation or encryption.
-    pub fn encrypt_update_symmetric_with(
-        &mut self,
-        ctx: &CkksContext,
-        sk: &CkksSecretKey,
-        flat: &[f32],
-        cfg: &packing::PackingConfig,
-    ) -> Result<Vec<CkksCiphertext>, FheError> {
-        packing::encrypt_model_symmetric_with(ctx, sk, flat, cfg, &mut self.rng)
-    }
 }
 
 /// One client's contribution to a round.
@@ -397,36 +335,46 @@ impl ServerRound<Vec<f32>> {
 
 impl ServerRound<Vec<CkksCiphertext>> {
     /// Homomorphic FedAvg over the reporting quorum (paper Eq. 2) —
-    /// runs entirely on ciphertexts; no key material required.
+    /// runs entirely on ciphertexts; no key material required. The
+    /// accepted uploads fold through a [`StreamingAggregator`], which
+    /// closes with one `1/P` multiply per chunk.
     ///
     /// # Errors
     ///
-    /// Returns [`FlError`] if no updates were accepted or the
-    /// ciphertexts are incompatible.
+    /// Returns [`FlError`] if no updates were accepted, the rule is
+    /// [`Aggregation::FedNova`] (plaintext-only), or an upload's
+    /// ciphertexts do not match the others.
     pub fn aggregate_ckks(&self, ctx: &CkksContext) -> Result<Vec<CkksCiphertext>, FlError> {
-        self.check_nonempty()?;
-        let models: Vec<Vec<CkksCiphertext>> =
-            self.updates.iter().map(|u| u.payload.clone()).collect();
-        Ok(packing::homomorphic_weighted_average(ctx, &models, &self.weights())?)
+        self.fold(ctx)?.finish(ctx)
     }
 
     /// Lane-safe aggregation for bit-interleaved uploads: the plain
     /// homomorphic **sum** `Σᵢ Enc(LMᵢ)`, with no plaintext multiply
     /// that could carry across packed lanes. The division by the
     /// contributor count happens after decryption, driven by the
-    /// in-band counter lane ([`packing::decrypt_model_with`]) — so this
-    /// path implements uniform FedAvg only; weighted rules need the
-    /// dense layout.
+    /// in-band counter lane ([`crate::packing::decrypt_model_with`]).
     ///
     /// # Errors
     ///
-    /// Returns [`FlError`] if no updates were accepted or the
-    /// ciphertexts are incompatible.
+    /// As [`ServerRound::aggregate_ckks`].
     pub fn aggregate_ckks_sum(&self, ctx: &CkksContext) -> Result<Vec<CkksCiphertext>, FlError> {
+        self.fold(ctx)?.finish_sum()
+    }
+
+    /// Folds every accepted upload, in client-id order, into a fresh
+    /// aggregator for this round.
+    fn fold(&self, ctx: &CkksContext) -> Result<StreamingAggregator, FlError> {
         self.check_nonempty()?;
-        let models: Vec<Vec<CkksCiphertext>> =
-            self.updates.iter().map(|u| u.payload.clone()).collect();
-        Ok(packing::homomorphic_sum(ctx, &models)?)
+        let mut agg = StreamingAggregator::new(self.round, self.aggregation)?;
+        for u in &self.updates {
+            if !agg.fold(ctx, u.client_id, self.round, &u.payload)? {
+                return Err(FlError::Fhe(FheError::InvalidParams(format!(
+                    "round {}: client {}'s ciphertexts do not match the other uploads",
+                    self.round, u.client_id
+                ))));
+            }
+        }
+        Ok(agg)
     }
 }
 

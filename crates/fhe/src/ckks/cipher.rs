@@ -485,6 +485,19 @@ impl CkksContext {
         gaussian_fill(rng, self.params.n, self.params.sigma, &mut noise.e);
     }
 
+    /// An all-zero ciphertext with `ct`'s levels, scale and residue
+    /// domain: the additive identity an encrypted sum of uploads shaped
+    /// like `ct` starts from.
+    pub fn zero_like(&self, ct: &CkksCiphertext) -> CkksCiphertext {
+        let (n, levels, domain) = (self.params.n, ct.levels(), ct.c1.domain());
+        CkksCiphertext {
+            c0: RnsPoly::zero_in(n, levels, domain),
+            c1: RnsPoly::zero_in(n, levels, domain),
+            scale: ct.scale,
+            c1_seed: None,
+        }
+    }
+
     /// An all-zero evaluation-domain ciphertext at full level, shaped for
     /// this context — the reusable output slot for
     /// [`CkksContext::encrypt_symmetric_with_noise_into`].
@@ -1046,7 +1059,17 @@ impl CkksContext {
         Ok(CkksCiphertext { c0, c1, scale, c1_seed: None })
     }
 
-    fn check_compatible(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<(), FheError> {
+    /// Checks that `b` can be added to `a`: equal levels, matching
+    /// residue domain, and scales within a relative tolerance of `1e-9`.
+    /// [`CkksContext::add_assign`] runs this check itself; callers that
+    /// pre-check every chunk of a multi-ciphertext upload make the
+    /// following additions infallible, so a partial fold never happens.
+    ///
+    /// # Errors
+    ///
+    /// [`FheError::LevelMismatch`], [`FheError::InvalidParams`] (domain
+    /// mismatch), or [`FheError::ScaleMismatch`].
+    pub fn check_compatible(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<(), FheError> {
         if a.levels() != b.levels() {
             return Err(FheError::LevelMismatch { lhs: a.levels(), rhs: b.levels() });
         }

@@ -22,7 +22,7 @@ use rhychee_fhe::params::CkksParams;
 use rhychee_hdc::model::{EncodedDataset, HdcModel};
 use rhychee_telemetry as telemetry;
 
-use crate::codec::{self, CanonicalCodec, SeededCodec, WireCodec};
+use crate::codec::{self, CanonicalCodec, WireCodec};
 use crate::error::NetError;
 use crate::wire::{self, Message, DEFAULT_MAX_PAYLOAD};
 
@@ -33,16 +33,9 @@ pub enum ClientPipeline {
     Plaintext,
     /// Packed CKKS ciphertexts under the shared key derived from the
     /// run seed, in the wire format of [`ClientConfig::codec`]
-    /// (canonical by default; [`SeededCodec`] selects symmetric
+    /// (canonical by default; [`SeededCodec`](crate::codec::SeededCodec) selects symmetric
     /// encryption with seed-compressed uploads).
     Ckks(CkksParams),
-    /// Like [`ClientPipeline::Ckks`], but forcing the seed-compressed
-    /// wire format regardless of the configured codec.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Ckks` with `ClientConfig::codec` set to `SeededCodec` instead"
-    )]
-    CkksSeeded(CkksParams),
 }
 
 /// Client-side connection configuration.
@@ -64,7 +57,8 @@ pub struct ClientConfig {
     /// Frame payload cap in bytes.
     pub max_payload: u32,
     /// CKKS wire codec for uploads (default [`CanonicalCodec`]; must
-    /// match the server's configured codec). A [`SeededCodec`] client
+    /// match the server's configured codec). A
+    /// [`SeededCodec`](crate::codec::SeededCodec) client
     /// encrypts uploads symmetrically so each ciphertext carries the
     /// expansion seed the format transmits in place of `c1`; downloads
     /// stay canonical, since the aggregate is not a fresh encryption.
@@ -166,21 +160,13 @@ impl FlClient {
         eval: Option<EncodedDataset>,
         pipeline: ClientPipeline,
     ) -> Result<Self, NetError> {
-        // The deprecated seeded pipeline variant forces its codec so
-        // pre-redesign callers keep their wire format unchanged.
-        #[allow(deprecated)]
-        let (params, wire_codec): (Option<CkksParams>, Arc<dyn WireCodec>) = match pipeline {
-            ClientPipeline::Plaintext => (None, Arc::clone(&config.codec)),
-            ClientPipeline::Ckks(params) => (Some(params), Arc::clone(&config.codec)),
-            ClientPipeline::CkksSeeded(params) => (Some(params), Arc::new(SeededCodec)),
-        };
         config.packing.validate()?;
-        let ckks = match params {
-            None => None,
-            Some(params) => {
+        let ckks = match pipeline {
+            ClientPipeline::Plaintext => None,
+            ClientPipeline::Ckks(params) => {
                 let ctx = CkksContext::with_parallelism(params, fl.parallelism)?;
                 let (sk, pk) = round::derive_ckks_keys(&ctx, fl.seed);
-                Some(CkksSide { ctx, sk, pk, codec: wire_codec })
+                Some(CkksSide { ctx, sk, pk, codec: Arc::clone(&config.codec) })
             }
         };
         Ok(FlClient { config, fl, local, eval, ckks, classes })
@@ -288,20 +274,12 @@ impl FlClient {
             let payload = match &self.ckks {
                 None => Ok(codec::encode_plain(&flat)),
                 Some(side) => {
+                    let (ctx, layout, rng) =
+                        (&side.ctx, &self.config.packing, self.local.rng_mut());
                     let cts = if side.codec.symmetric() {
-                        self.local.encrypt_update_symmetric_with(
-                            &side.ctx,
-                            &side.sk,
-                            &flat,
-                            &self.config.packing,
-                        )
+                        packing::encrypt_model_symmetric_with(ctx, &side.sk, &flat, layout, rng)
                     } else {
-                        self.local.encrypt_update_with(
-                            &side.ctx,
-                            &side.pk,
-                            &flat,
-                            &self.config.packing,
-                        )
+                        packing::encrypt_model_with(ctx, &side.pk, &flat, layout, rng)
                     };
                     cts.map_err(NetError::from)
                         .and_then(|cts| side.codec.encode_upload(&side.ctx, &cts))

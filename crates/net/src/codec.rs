@@ -20,11 +20,10 @@
 //! (tag 3) — selected via
 //! [`ServerConfigBuilder::codec`](crate::server::ServerConfigBuilder::codec)
 //! and [`ClientConfig::codec`](crate::client::ClientConfig::codec).
-//! Each codec offers both an owning decode ([`WireCodec::decode_upload`],
-//! the batch reference path) and a borrowing parse
-//! ([`WireCodec::parse_upload`], the streaming path): the latter returns
-//! a [`ModelView`] of zero-copy [`CtView`]s over the payload bytes,
-//! validated with the exact same count/length caps, which the server
+//! A codec parses uploads by borrowing ([`WireCodec::parse_upload`]):
+//! it returns a [`ModelView`] of zero-copy [`CtView`]s over the payload
+//! bytes, validated with the same count/length caps as the owning
+//! decoders ([`decode_ckks`] / [`decode_ckks_seeded`]), which the server
 //! folds straight into its running encrypted sum.
 //!
 //! [`Message::Global`]: crate::wire::Message::Global
@@ -361,23 +360,9 @@ pub trait WireCodec: sealed::Sealed + Send + Sync + fmt::Debug {
     fn encode_upload(&self, ctx: &CkksContext, cts: &[CkksCiphertext])
         -> Result<Vec<u8>, NetError>;
 
-    /// Decodes an upload into owned ciphertexts — the batch reference
-    /// path, kept selectable alongside streaming.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Protocol`] on structural errors and
-    /// [`NetError::Fhe`] on ciphertext-level validation failures.
-    fn decode_upload(
-        &self,
-        ctx: &CkksContext,
-        bytes: &[u8],
-        max_cts: usize,
-    ) -> Result<Vec<CkksCiphertext>, NetError>;
-
     /// Parses an upload into zero-copy views for streaming aggregation,
-    /// applying the same caps and validation as
-    /// [`WireCodec::decode_upload`] without materializing ciphertexts.
+    /// applying the same caps and validation as the format's owning
+    /// decoder without materializing ciphertexts.
     ///
     /// # Errors
     ///
@@ -421,15 +406,6 @@ impl WireCodec for CanonicalCodec {
         Ok(encode_ckks(ctx, cts))
     }
 
-    fn decode_upload(
-        &self,
-        ctx: &CkksContext,
-        bytes: &[u8],
-        max_cts: usize,
-    ) -> Result<Vec<CkksCiphertext>, NetError> {
-        decode_ckks(ctx, bytes, max_cts)
-    }
-
     fn parse_upload<'a>(
         &self,
         ctx: &CkksContext,
@@ -463,15 +439,6 @@ impl WireCodec for SeededCodec {
         cts: &[CkksCiphertext],
     ) -> Result<Vec<u8>, NetError> {
         encode_ckks_seeded(ctx, cts)
-    }
-
-    fn decode_upload(
-        &self,
-        ctx: &CkksContext,
-        bytes: &[u8],
-        max_cts: usize,
-    ) -> Result<Vec<CkksCiphertext>, NetError> {
-        decode_ckks_seeded(ctx, bytes, max_cts)
     }
 
     fn parse_upload<'a>(
@@ -639,7 +606,12 @@ mod tests {
                 })
                 .collect();
             let bytes = codec.encode_upload(&ctx, &cts).expect("encode");
-            let owned = codec.decode_upload(&ctx, &bytes, 2).expect("decode");
+            let owned = if codec.symmetric() {
+                decode_ckks_seeded(&ctx, &bytes, 2)
+            } else {
+                decode_ckks(&ctx, &bytes, 2)
+            }
+            .expect("decode");
             let parsed = codec.parse_upload(&ctx, &bytes, 2).expect("parse");
             assert_eq!(parsed.len(), 2, "{}", codec.name());
             assert!(!parsed.is_empty());

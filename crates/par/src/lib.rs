@@ -18,9 +18,11 @@
 //! 2. **No dependencies.** `std` only (plus the in-workspace telemetry
 //!    crate for counters).
 //! 3. **No deadlocks under nesting.** A thread waiting on a scope
-//!    help-drains the shared queue, so nested scopes (e.g. a parallel
-//!    decrypt whose per-ciphertext work itself parallelises over RNS
-//!    primes) make progress even with zero idle workers.
+//!    help-drains that scope's own queued tasks, so nested scopes (e.g.
+//!    a parallel decrypt whose per-ciphertext work itself parallelises
+//!    over RNS primes) make progress even with zero idle workers. It
+//!    never runs another scope's task, so work never executes inside
+//!    an unrelated caller's open telemetry spans.
 //!
 //! Panics in spawned tasks are caught, forwarded to the scope owner,
 //! and re-thrown from [`ThreadPool::scope`] after all sibling tasks
@@ -91,8 +93,12 @@ impl std::fmt::Display for Parallelism {
 /// the scope's join barrier.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// Identity of the scope a queued task belongs to (its state's address,
+/// unique while the scope is live, which outlasts all of its tasks).
+type ScopeId = usize;
+
 struct Shared {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<(ScopeId, Job)>>,
     work_ready: Condvar,
     shutdown: AtomicBool,
 }
@@ -165,27 +171,31 @@ impl ThreadPool {
         }
     }
 
-    fn inject(&self, job: Job) {
+    fn inject(&self, scope: ScopeId, job: Job) {
         let mut queue = self.shared.queue.lock().unwrap();
-        queue.push_back(job);
+        queue.push_back((scope, job));
         // Tasks are coarse chunks, so a gauge store per enqueue is cheap
         // relative to the work each job carries.
         telemetry::gauge("par.queue.depth", queue.len() as f64);
         self.shared.work_ready.notify_one();
     }
 
-    fn try_pop(&self) -> Option<Job> {
-        self.shared.queue.lock().unwrap().pop_front()
+    /// Takes the oldest queued task of `scope`, if any.
+    fn try_pop_own(&self, scope: ScopeId) -> Option<Job> {
+        let mut queue = self.shared.queue.lock().unwrap();
+        let pos = queue.iter().position(|(id, _)| *id == scope)?;
+        queue.remove(pos).map(|(_, job)| job)
     }
 
-    /// Blocks until `state.pending == 0`, help-draining the shared
-    /// queue so progress never depends on idle workers existing.
+    /// Blocks until `state.pending == 0`, help-draining the scope's own
+    /// queued tasks so progress never depends on idle workers existing.
     fn wait(&self, state: &ScopeState) {
+        let scope = scope_id(state);
         loop {
             if *state.pending.lock().unwrap() == 0 {
                 return;
             }
-            if let Some(job) = self.try_pop() {
+            if let Some(job) = self.try_pop_own(scope) {
                 job();
                 telemetry::count("par.tasks", 1);
                 continue;
@@ -194,8 +204,8 @@ impl ThreadPool {
             if *pending == 0 {
                 return;
             }
-            // Nested scopes can enqueue work while we sleep; wake on a
-            // short timeout to help-drain rather than block forever.
+            // The scope's remaining tasks run on other threads, and each
+            // completion notifies `done`; the short timeout is a backstop.
             let _unused = state.done.wait_timeout(pending, Duration::from_micros(200)).unwrap();
         }
     }
@@ -216,7 +226,7 @@ fn worker_loop(shared: &Shared) {
         let job = {
             let mut queue = shared.queue.lock().unwrap();
             loop {
-                if let Some(job) = queue.pop_front() {
+                if let Some((_, job)) = queue.pop_front() {
                     break Some(job);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -237,6 +247,10 @@ fn worker_loop(shared: &Shared) {
             None => return,
         }
     }
+}
+
+fn scope_id(state: &ScopeState) -> ScopeId {
+    state as *const ScopeState as ScopeId
 }
 
 struct ScopeState {
@@ -298,7 +312,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         // Clone nor constructible outside `scope`, so tasks cannot be
         // registered after the join barrier.
         let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-        self.pool.inject(job);
+        self.pool.inject(scope_id(&self.state), job);
     }
 }
 
@@ -471,6 +485,33 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn waiting_scope_runs_only_its_own_tasks() {
+        // An outer task waiting on its nested scope must not pick up a
+        // queued sibling outer task: that sibling would run inside the
+        // first task's frame (and its open telemetry spans).
+        thread_local!(static IN_OUTER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
+        let pool = ThreadPool::new(1);
+        let nested = AtomicUsize::new(0);
+        pool.scope(|outer| {
+            for _ in 0..8 {
+                let (pool, nested) = (&pool, &nested);
+                outer.spawn(move || {
+                    if IN_OUTER.with(|f| f.replace(true)) {
+                        nested.fetch_add(1, Ordering::Relaxed);
+                    }
+                    pool.scope(|inner| {
+                        for _ in 0..2 {
+                            inner.spawn(|| thread::sleep(Duration::from_millis(1)));
+                        }
+                    });
+                    IN_OUTER.with(|f| f.set(false));
+                });
+            }
+        });
+        assert_eq!(nested.load(Ordering::Relaxed), 0, "an outer task ran nested in another");
     }
 
     #[test]

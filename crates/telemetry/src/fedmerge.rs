@@ -8,10 +8,13 @@
 //! frame. Merging therefore reduces to path rewriting: a root span whose
 //! `remote_parent` resolves into another source is grafted under that
 //! span's merged path, with an actor segment (`server`, `client3`)
-//! inserted whenever the trace crosses an actor boundary. The result is a
-//! single [`SpanTree`] whose totals are exact nanosecond sums of the
-//! input records — nothing is scaled or interpolated, so merged totals
-//! reconcile with each endpoint's `RoundReport` to the nanosecond.
+//! inserted whenever the trace crosses an actor boundary. Each linked
+//! root grafts under its own parent, so two server-side spans of the
+//! same name that serve different clients land under different client
+//! legs. The result is a single [`SpanTree`] whose totals are exact
+//! nanosecond sums of the input records — nothing is scaled or
+//! interpolated, so merged totals reconcile with each endpoint's
+//! `RoundReport` to the nanosecond.
 //!
 //! Example merged paths from a loopback federation:
 //!
@@ -57,10 +60,19 @@ fn actor_of<'a>(rec: &'a SpanRecord, label: &'a str) -> &'a str {
     }
 }
 
-/// Prefix-resolution key: all roots of one source with the same actor and
-/// root span name share a merged prefix (their rounds differ only in
-/// which concrete parent span they link to, never in its path).
+/// Prefix-resolution key for spans without a link of their own: nested
+/// spans, and roots opened without a wire context (e.g. a client's final
+/// `decrypt`), share the merged prefix of any linked root with the same
+/// source, actor and root span name.
 type GroupKey = (usize, String, String);
+
+/// The record a root's `remote_parent` names, when it is in the input.
+fn linked_parent(r: &SpanRecord, index: &BTreeMap<u64, (usize, usize)>) -> Option<(usize, usize)> {
+    if r.remote_parent == 0 || r.remote_parent == r.span_id {
+        return None;
+    }
+    index.get(&r.remote_parent).copied()
+}
 
 fn prefix_for(
     sources: &[FedSource],
@@ -80,38 +92,43 @@ fn prefix_for(
     visiting.push(key.clone());
     let (si, actor, root) = key;
     let src = &sources[*si];
-    let rep = src.records.iter().find(|r| {
-        r.depth == 0
-            && r.path == *root
-            && actor_of(r, &src.label) == actor
-            && r.remote_parent != 0
-            && r.remote_parent != r.span_id
-            && index.contains_key(&r.remote_parent)
-    });
-    let prefix = match rep {
+    let parent = src
+        .records
+        .iter()
+        .filter(|r| r.depth == 0 && r.path == *root && actor_of(r, &src.label) == actor)
+        .find_map(|r| linked_parent(r, index));
+    let prefix = match parent {
         // No resolvable remote parent anywhere in the group: a true root,
         // anchored directly under its actor.
         None => actor.clone(),
-        Some(r) => {
-            let (psi, pri) = index[&r.remote_parent];
-            let parent = &sources[psi].records[pri];
-            let p_actor = actor_of(parent, &sources[psi].label).to_owned();
-            let pkey = (psi, p_actor.clone(), root_of(&parent.path).to_owned());
-            let parent_prefix = prefix_for(sources, index, memo, visiting, &pkey);
-            let parent_merged = format!("{parent_prefix}/{}", parent.path);
-            if p_actor == *actor {
-                // Same actor on both ends (e.g. a handler thread span
-                // parenting under the coordinator's round span): no actor
-                // boundary to mark.
-                parent_merged
-            } else {
-                format!("{parent_merged}/{actor}")
-            }
-        }
+        Some(parent) => graft(sources, index, memo, visiting, parent, actor),
     };
     visiting.pop();
     memo.insert(key.clone(), prefix.clone());
     prefix
+}
+
+/// The merged prefix of a span of `actor` whose root links to `parent`.
+fn graft(
+    sources: &[FedSource],
+    index: &BTreeMap<u64, (usize, usize)>,
+    memo: &mut BTreeMap<GroupKey, String>,
+    visiting: &mut Vec<GroupKey>,
+    (psi, pri): (usize, usize),
+    actor: &str,
+) -> String {
+    let parent = &sources[psi].records[pri];
+    let p_actor = actor_of(parent, &sources[psi].label).to_owned();
+    let pkey = (psi, p_actor.clone(), root_of(&parent.path).to_owned());
+    let parent_prefix = prefix_for(sources, index, memo, visiting, &pkey);
+    let parent_merged = format!("{parent_prefix}/{}", parent.path);
+    if p_actor == actor {
+        // Same actor on both ends (e.g. a handler thread span parenting
+        // under the coordinator's round span): no actor boundary to mark.
+        parent_merged
+    } else {
+        format!("{parent_merged}/{actor}")
+    }
 }
 
 /// Rewrites every record of every source onto its federation-wide merged
@@ -130,8 +147,18 @@ pub fn merged_paths(sources: &[FedSource]) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for (si, s) in sources.iter().enumerate() {
         for r in &s.records {
-            let key: GroupKey = (si, actor_of(r, &s.label).to_owned(), root_of(&r.path).to_owned());
-            let prefix = prefix_for(sources, &index, &mut memo, &mut Vec::new(), &key);
+            let actor = actor_of(r, &s.label);
+            let prefix = match linked_parent(r, &index) {
+                // A linked root grafts under its own parent, not its
+                // group's: same-named roots may serve different clients.
+                Some(parent) if r.depth == 0 => {
+                    graft(sources, &index, &mut memo, &mut Vec::new(), parent, actor)
+                }
+                _ => {
+                    let key: GroupKey = (si, actor.to_owned(), root_of(&r.path).to_owned());
+                    prefix_for(sources, &index, &mut memo, &mut Vec::new(), &key)
+                }
+            };
             out.push((format!("{prefix}/{}", r.path), r.dur_ns));
         }
     }

@@ -1,3 +1,8 @@
+//! Per-client attribution of server-side decode spans in a merged
+//! federation trace: each `net_decode` must graft under the
+//! `client_round` leg of the client whose upload it decoded, never
+//! under a sibling client's leg.
+
 use rhychee_telemetry::fedmerge::{self, FedSource};
 use rhychee_telemetry::profile::SpanRecord;
 
@@ -26,11 +31,15 @@ fn multi_client_decode_attribution() {
     let c0 = FedSource::new("client0", vec![rec("client_round", "client_round", 700, 20, 10)]);
     let c1 = FedSource::new("client1", vec![rec("client_round", "client_round", 650, 30, 10)]);
     let tree = fedmerge::merge(&[server, c0, c1]);
-    for n in tree.nodes() {
-        println!("{:60} total={}", n.path, n.total_ns);
+
+    for (client, total_ns) in [("client0", 30), ("client1", 40)] {
+        let path = format!("server/net_round/{client}/client_round/server/net_decode");
+        let decode = tree.get(&path).unwrap_or_else(|| panic!("no decode node at {path}"));
+        assert_eq!(decode.count, 1, "{client}: exactly its own upload's decode");
+        assert_eq!(decode.total_ns, total_ns, "{client}: decode total");
     }
-    let under_c0 = tree.get("server/net_round/client0/client_round/server/net_decode");
-    let under_c1 = tree.get("server/net_round/client1/client_round/server/net_decode");
-    println!("c0 decode node: {:?}", under_c0.map(|n| n.total_ns));
-    println!("c1 decode node: {:?}", under_c1.map(|n| n.total_ns));
+    // Both decodes are attributed: no server-side decode is left over
+    // at the top level or under the round span directly.
+    assert!(tree.get("server/net_decode").is_none());
+    assert!(tree.get("server/net_round/net_decode").is_none());
 }

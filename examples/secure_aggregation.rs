@@ -14,7 +14,8 @@
 //! ```
 
 use rand::{rngs::StdRng, SeedableRng};
-use rhychee_fl::core::packing;
+use rhychee_fl::core::packing::{self, PackingConfig};
+use rhychee_fl::core::{Aggregation, StreamingAggregator};
 use rhychee_fl::fhe::ckks::CkksContext;
 use rhychee_fl::fhe::params::CkksParams;
 
@@ -40,9 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     // --- Upload: encrypt with maximum packing.
+    let dense = PackingConfig::dense();
     let mut uploads = Vec::new();
     for (c, model) in local_models.iter().enumerate() {
-        let cts = packing::encrypt_model(&ctx, &server_pk, model, &mut rng)?;
+        let cts = packing::encrypt_model_with(&ctx, &server_pk, model, &dense, &mut rng)?;
         let bytes: usize = cts.iter().map(|ct| ctx.serialize(ct).len()).sum();
         println!(
             "client {c}: {} params -> {} ciphertexts, {} bytes on the wire",
@@ -58,12 +60,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let histogram = byte_entropy(&sample);
     println!("server-side view of one ciphertext: {} bytes, byte entropy {histogram:.3} bits (8.0 = uniform)", sample.len());
 
-    // --- Homomorphic FedAvg (Eq. 2). No secret key involved.
-    let global_cts = packing::homomorphic_average(&ctx, &uploads)?;
+    // --- Homomorphic FedAvg (Eq. 2): fold every upload into a running
+    // encrypted sum, then multiply by 1/P once. No secret key involved.
+    let mut aggregator = StreamingAggregator::new(0, Aggregation::FedAvg)?;
+    for (c, cts) in uploads.iter().enumerate() {
+        assert!(aggregator.fold(&ctx, c, 0, cts)?, "upload {c} rejected");
+    }
+    let global_cts = aggregator.finish(&ctx)?;
     println!("server aggregated {clients} encrypted models into {} ciphertexts", global_cts.len());
 
     // --- Download: a client decrypts the global model.
-    let global = packing::decrypt_model(&ctx, &client_sk, &global_cts, num_params)?;
+    let global = packing::decrypt_model_with(&ctx, &client_sk, &global_cts, num_params, &dense)?;
     let expected: Vec<f32> = (0..num_params)
         .map(|i| local_models.iter().map(|m| m[i]).sum::<f32>() / clients as f32)
         .collect();

@@ -6,13 +6,15 @@
 //! identical canonical ciphertext bytes under either — at every
 //! parallelism degree.
 
-use rhychee_fl::core::packing;
+use rhychee_fl::core::packing::{self, PackingConfig};
 use rhychee_fl::core::round::{self, ClientLocal, FedSetup};
 use rhychee_fl::core::FlConfig;
 use rhychee_fl::data::{DatasetKind, SyntheticConfig, TrainTest};
 use rhychee_fl::fhe::ckks::CkksContext;
 use rhychee_fl::fhe::params::CkksParams;
 use rhychee_fl::par::Parallelism;
+
+const DENSE: PackingConfig = PackingConfig::dense();
 
 fn har_data() -> TrainTest {
     SyntheticConfig { kind: DatasetKind::Har, train_samples: 240, test_samples: 80 }
@@ -57,7 +59,8 @@ fn run_federation(
         let mut sr = round::ServerRound::new(r, fl.aggregation);
         for local in &mut clients {
             let flat = local.train(&global, &fl);
-            let cts = local.encrypt_update(&ctx, &pk, &flat).expect("encrypt");
+            let cts = packing::encrypt_model_with(&ctx, &pk, &flat, &DENSE, local.rng_mut())
+                .expect("encrypt");
             sr.accept(round::ClientUpdate {
                 client_id: local.id(),
                 round: r,
@@ -70,7 +73,7 @@ fn run_federation(
         }
         let agg = sr.aggregate_ckks(&ctx).expect("aggregate");
         blobs.extend(agg.iter().map(|ct| ctx.serialize(ct)));
-        global = packing::decrypt_model(&ctx, &sk, &agg, num_params).expect("decrypt");
+        global = packing::decrypt_model_with(&ctx, &sk, &agg, num_params, &DENSE).expect("decrypt");
     }
     (blobs, global.iter().map(|v| v.to_bits()).collect())
 }
@@ -106,7 +109,9 @@ fn seeded_uploads_decrypt_identically_across_parallelism() {
         for (id, shard) in shards.into_iter().enumerate() {
             let mut local = ClientLocal::new(id, shard, classes, &fl);
             let flat = local.train(&zeros, &fl);
-            let cts = local.encrypt_update_symmetric(&ctx, &sk, &flat).expect("encrypt");
+            let cts =
+                packing::encrypt_model_symmetric_with(&ctx, &sk, &flat, &DENSE, local.rng_mut())
+                    .expect("encrypt");
             blobs.extend(cts.iter().map(|ct| ctx.serialize_seeded(ct).expect("seeded bytes")));
             sr.accept(round::ClientUpdate {
                 client_id: id,
@@ -117,7 +122,8 @@ fn seeded_uploads_decrypt_identically_across_parallelism() {
         }
         let agg = sr.aggregate_ckks(&ctx).expect("aggregate");
         blobs.extend(agg.iter().map(|ct| ctx.serialize(ct)));
-        let model = packing::decrypt_model(&ctx, &sk, &agg, num_params).expect("decrypt");
+        let model =
+            packing::decrypt_model_with(&ctx, &sk, &agg, num_params, &DENSE).expect("decrypt");
         (blobs, model.iter().map(|v| v.to_bits()).collect())
     };
 

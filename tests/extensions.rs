@@ -4,7 +4,9 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 
-use rhychee_fl::core::packing;
+use rhychee_fl::core::packing::{self, PackingConfig};
+use rhychee_fl::core::round::{ClientUpdate, ServerRound};
+use rhychee_fl::core::Aggregation;
 use rhychee_fl::fhe::ckks::threshold::ThresholdGroup;
 use rhychee_fl::fhe::ckks::CkksContext;
 use rhychee_fl::fhe::lwe::LweContext;
@@ -24,11 +26,19 @@ fn federated_round_under_threshold_keys() {
     let models: Vec<Vec<f32>> = (0..clients)
         .map(|c| (0..300).map(|i| ((c * 300 + i) as f32 * 0.01).sin()).collect())
         .collect();
-    let uploads: Vec<_> = models
-        .iter()
-        .map(|m| packing::encrypt_model(&ctx, group.public_key(), m, &mut rng).expect("encrypt"))
-        .collect();
-    let global_cts = packing::homomorphic_average(&ctx, &uploads).expect("aggregate");
+    let mut uploads = ServerRound::new(0, Aggregation::FedAvg);
+    for (client_id, m) in models.iter().enumerate() {
+        let payload = packing::encrypt_model_with(
+            &ctx,
+            group.public_key(),
+            m,
+            &PackingConfig::dense(),
+            &mut rng,
+        )
+        .expect("encrypt");
+        uploads.accept(ClientUpdate { client_id, round: 0, steps: 1, payload });
+    }
+    let global_cts = uploads.aggregate_ckks(&ctx).expect("aggregate");
 
     // Distributed decryption of every chunk.
     let mut global = Vec::new();

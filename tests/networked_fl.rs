@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use rhychee_fl::core::packing;
+use rhychee_fl::core::packing::{self, PackingConfig};
 use rhychee_fl::core::round::{self, ClientLocal, FedSetup};
 use rhychee_fl::core::{FlConfig, Framework, RoundHooks};
 use rhychee_fl::data::{DatasetKind, SyntheticConfig, TrainTest};
@@ -20,6 +20,8 @@ use rhychee_fl::net::{
     codec, wire, ClientConfig, ClientPipeline, ClientReport, FlClient, FlServer, Message,
     SeededCodec, ServerConfig, ServerPipeline, ServerReport, DEFAULT_MAX_PAYLOAD,
 };
+
+const DENSE: PackingConfig = PackingConfig::dense();
 
 fn har_data() -> TrainTest {
     SyntheticConfig { kind: DatasetKind::Har, train_samples: 360, test_samples: 120 }
@@ -206,7 +208,8 @@ fn dropout_mid_round_is_survived_by_quorum_aggregation() {
         };
         let global = codec::decode_plain(&model, num_params).expect("round-0 plaintext zeros");
         let flat = local.train(&global, &fl_dropout);
-        let cts = local.encrypt_update(&ctx, &pk, &flat).expect("encrypt");
+        let cts = packing::encrypt_model_with(&ctx, &pk, &flat, &DENSE, local.rng_mut())
+            .expect("encrypt");
         let update = Message::Update {
             round: 0,
             client_id: 4,
@@ -456,7 +459,7 @@ fn ckks_wire_round(
     num_params: usize,
 ) {
     let id = local.id();
-    let max_cts = packing::ciphertexts_needed(num_params, ctx.slot_count());
+    let max_cts = packing::ciphertexts_needed_with(&DENSE, num_params, ctx.slot_count());
     let (msg, _) = wire::read_message(stream, DEFAULT_MAX_PAYLOAD).expect("global");
     let model = match msg {
         Message::Global { round: r, last: false, model } if r == round => model,
@@ -466,10 +469,11 @@ fn ckks_wire_round(
         codec::decode_plain(&model, num_params).expect("round-0 plaintext zeros")
     } else {
         let cts = codec::decode_ckks(ctx, &model, max_cts).expect("decode");
-        packing::decrypt_model(ctx, sk, &cts, num_params).expect("decrypt")
+        packing::decrypt_model_with(ctx, sk, &cts, num_params, &DENSE).expect("decrypt")
     };
     let flat = local.train(&global, fl);
-    let cts = local.encrypt_update(ctx, pk, &flat).expect("encrypt");
+    let cts =
+        packing::encrypt_model_with(ctx, pk, &flat, &DENSE, local.rng_mut()).expect("encrypt");
     let update = Message::Update {
         round,
         client_id: id,
@@ -490,8 +494,8 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
     // The streaming-specific churn regression: client 4's round-1 frame
     // is folded into the running encrypted sum, *then* the client
     // disconnects. Its contribution must stay in round 1's aggregate and
-    // its count in round 1's quorum accounting — exactly like the batch
-    // path, where an accepted update outlives its uploader. The death is
+    // its count in round 1's quorum accounting — exactly like an update
+    // accepted by `ServerRound`, which outlives its uploader. The death is
     // noticed in round 2 (received = 4), the rejoin activates at the
     // round-3 boundary, and the final model must match the in-process
     // Framework running the same presence schedule, bit for bit.
@@ -510,7 +514,6 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
         .max_resident_uploads(2)
         .build()
         .expect("server config");
-    assert!(cfg.streaming_aggregation(), "streaming is the default");
     let server =
         FlServer::bind("127.0.0.1:0", cfg, ServerPipeline::Ckks(CkksParams::toy())).expect("bind");
     let addr = server.local_addr().expect("local addr");
@@ -550,9 +553,9 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
             };
             let (fin, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("finished");
             assert!(matches!(fin, Message::Finished { .. }), "got {}", fin.name());
-            let max_cts = packing::ciphertexts_needed(num_params, ctx.slot_count());
+            let max_cts = packing::ciphertexts_needed_with(&DENSE, num_params, ctx.slot_count());
             let cts = codec::decode_ckks(&ctx, &model, max_cts).expect("final decode");
-            packing::decrypt_model(&ctx, &sk, &cts, num_params).expect("final decrypt")
+            packing::decrypt_model_with(&ctx, &sk, &cts, num_params, &DENSE).expect("final decrypt")
         }));
     }
 
@@ -599,16 +602,16 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
         };
         let (fin, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("finished");
         assert!(matches!(fin, Message::Finished { .. }), "got {}", fin.name());
-        let max_cts = packing::ciphertexts_needed(num_params, ctx.slot_count());
+        let max_cts = packing::ciphertexts_needed_with(&DENSE, num_params, ctx.slot_count());
         let cts = codec::decode_ckks(&ctx, &model, max_cts).expect("final decode");
-        packing::decrypt_model(&ctx, &sk, &cts, num_params).expect("final decrypt")
+        packing::decrypt_model_with(&ctx, &sk, &cts, num_params, &DENSE).expect("final decrypt")
     });
 
     let finals: Vec<Vec<f32>> = joins.into_iter().map(|j| j.join().expect("survivor")).collect();
     let churner_final = churner.join().expect("churner");
     let server = server.join().expect("join").expect("server run");
 
-    // The same federation in process (batch aggregation): everyone
+    // The same federation in process (`ServerRound`): everyone
     // every round, except client 4 sits out round 2 — its round-1
     // contribution stays in even though it had already disconnected.
     let mut fw = Framework::hdc_encrypted(fl, &data, CkksParams::toy()).expect("framework");
@@ -633,7 +636,7 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
     assert_eq!(server.dropped_clients, 1, "the departure counts once");
     assert_eq!(server.rejoined_clients, 1, "the reconnection counts once");
     for (id, f) in finals.iter().chain(std::iter::once(&churner_final)).enumerate() {
-        assert_eq!(f, &expected, "client {id} diverged from the in-process batch reference");
+        assert_eq!(f, &expected, "client {id} diverged from the in-process reference");
     }
 }
 
@@ -754,7 +757,8 @@ fn seeded_uploads_halve_bytes_and_reconcile_with_analytical_model() {
     let FedSetup { classes, .. } = round::prepare(&fl, &data).expect("prepare");
     let num_params = classes * fl.hd_dim;
     let ctx = CkksContext::new(CkksParams::toy()).expect("ctx");
-    let modeled = fl.rounds as u64 * packing::upload_bytes_seeded(&ctx, num_params) as u64;
+    let modeled =
+        fl.rounds as u64 * packing::upload_bytes_seeded_with(&ctx, &DENSE, num_params) as u64;
     for c in &clients {
         assert!(
             c.bytes_tx >= modeled,

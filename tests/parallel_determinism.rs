@@ -8,10 +8,11 @@
 //! CI runs this file with `RUST_TEST_THREADS` unset so the shared pool
 //! sees realistic contention from concurrently running tests.
 
-use rhychee_fl::core::round::{self, ClientLocal, FedSetup};
-use rhychee_fl::core::{packing, FlConfig, Framework, StreamingAggregator};
+use rhychee_fl::core::packing::{self, PackingConfig};
+use rhychee_fl::core::round::{self, ClientLocal, ClientUpdate, FedSetup};
+use rhychee_fl::core::{FlConfig, Framework, StreamingAggregator};
 use rhychee_fl::data::{DatasetKind, SyntheticConfig, TrainTest};
-use rhychee_fl::fhe::ckks::CkksContext;
+use rhychee_fl::fhe::ckks::{CkksCiphertext, CkksContext};
 use rhychee_fl::fhe::params::CkksParams;
 use rhychee_fl::net::{CanonicalCodec, WireCodec};
 use rhychee_fl::par::Parallelism;
@@ -90,8 +91,15 @@ fn ckks_round_ciphertexts_serialize_identically_across_parallelism() {
         for (id, shard) in shards.into_iter().enumerate() {
             let mut local = ClientLocal::new(id, shard, classes, &fl);
             let flat = local.train(&zeros, &fl);
-            let cts = local.encrypt_update(&ctx, &pk, &flat).expect("encrypt");
-            sr.accept(round::ClientUpdate {
+            let cts = packing::encrypt_model_with(
+                &ctx,
+                &pk,
+                &flat,
+                &PackingConfig::dense(),
+                local.rng_mut(),
+            )
+            .expect("encrypt");
+            sr.accept(ClientUpdate {
                 client_id: id,
                 round: 0,
                 steps: local.last_steps(),
@@ -127,12 +135,33 @@ fn seeded_order(n: usize, mut seed: u64) -> Vec<usize> {
     order
 }
 
+/// Independent scale-then-sum reference for the paper's Eq. 2: every
+/// upload is multiplied by `1/P` first, and the products are added in
+/// client-id order — the opposite order of operations to the fold.
+fn scale_then_sum(
+    ctx: &CkksContext,
+    updates: &[ClientUpdate<Vec<CkksCiphertext>>],
+) -> Vec<CkksCiphertext> {
+    let w = 1.0 / updates.len() as f64;
+    (0..updates[0].payload.len())
+        .map(|chunk| {
+            let mut acc = ctx.mul_scalar(&updates[0].payload[chunk], w);
+            for u in &updates[1..] {
+                ctx.add_assign(&mut acc, &ctx.mul_scalar(&u.payload[chunk], w)).expect("add");
+            }
+            acc
+        })
+        .collect()
+}
+
 #[test]
 fn streamed_fold_matches_batch_bytes_across_orders_and_parallelism() {
     // The streaming path folds wire frames into the running encrypted
-    // sum in whatever order they arrive; the batch reference averages
-    // the collected ciphertexts in client-id order. Both must serialize
-    // to the same bytes — per arrival order, and across parallelism.
+    // sum in whatever order they arrive and scales once at close; the
+    // scale-then-sum reference scales every collected upload and adds
+    // them in client-id order. Both — and the owned-ciphertext fold
+    // behind `ServerRound::aggregate_ckks` — must serialize to the same
+    // bytes, per arrival order and across parallelism.
     let data = har_data();
 
     let run = |par: Parallelism| -> Vec<Vec<u8>> {
@@ -141,7 +170,8 @@ fn streamed_fold_matches_batch_bytes_across_orders_and_parallelism() {
         let ctx = CkksContext::with_parallelism(CkksParams::toy(), par).expect("context");
         let (_sk, pk) = round::derive_ckks_keys(&ctx, fl.seed);
         let num_params = classes * fl.hd_dim;
-        let max_cts = packing::ciphertexts_needed(num_params, ctx.slot_count());
+        let max_cts =
+            packing::ciphertexts_needed_with(&PackingConfig::dense(), num_params, ctx.slot_count());
         let zeros = vec![0.0f32; num_params];
 
         // Wire payloads, exactly as clients would upload them.
@@ -150,21 +180,31 @@ fn streamed_fold_matches_batch_bytes_across_orders_and_parallelism() {
         for (id, shard) in shards.into_iter().enumerate() {
             let mut local = ClientLocal::new(id, shard, classes, &fl);
             let flat = local.train(&zeros, &fl);
-            let cts = local.encrypt_update(&ctx, &pk, &flat).expect("encrypt");
+            let cts = packing::encrypt_model_with(
+                &ctx,
+                &pk,
+                &flat,
+                &PackingConfig::dense(),
+                local.rng_mut(),
+            )
+            .expect("encrypt");
             payloads.push(CanonicalCodec.encode_upload(&ctx, &cts).expect("encode"));
-            sr.accept(round::ClientUpdate {
+            sr.accept(ClientUpdate {
                 client_id: id,
                 round: 0,
                 steps: local.last_steps(),
                 payload: cts,
             });
         }
-        let batch: Vec<Vec<u8>> = sr
-            .aggregate_ckks(&ctx)
-            .expect("aggregate")
-            .iter()
-            .map(|ct| ctx.serialize(ct))
-            .collect();
+        let serialize = |cts: Vec<CkksCiphertext>| -> Vec<Vec<u8>> {
+            cts.iter().map(|ct| ctx.serialize(ct)).collect()
+        };
+        let batch = serialize(scale_then_sum(&ctx, sr.updates()));
+        assert_eq!(
+            serialize(sr.aggregate_ckks(&ctx).expect("aggregate")),
+            batch,
+            "owned-ciphertext fold diverged from scale-then-sum at {par}"
+        );
 
         for seed in [0xA5A5_u64, 0x5A5A, 0xC0FFEE] {
             let order = seeded_order(payloads.len(), seed);
@@ -174,8 +214,7 @@ fn streamed_fold_matches_batch_bytes_across_orders_and_parallelism() {
                     CanonicalCodec.parse_upload(&ctx, &payloads[id], max_cts).expect("parse");
                 assert!(agg.fold_upload(&ctx, id, 0, view.views()).expect("fold"));
             }
-            let streamed: Vec<Vec<u8>> =
-                agg.finish(&ctx).expect("finish").iter().map(|ct| ctx.serialize(ct)).collect();
+            let streamed = serialize(agg.finish(&ctx).expect("finish"));
             assert_eq!(
                 streamed, batch,
                 "streamed bytes diverged from batch at {par} for arrival order {order:?}"
