@@ -3,7 +3,9 @@
 //! Times the operations the `rhychee-par` pool accelerates — the
 //! forward NTT (Shoup/Harvey butterflies), packed model encryption
 //! (NTT-resident, coefficient-domain reference, and symmetric seeded),
-//! homomorphic FedAvg (fold + `1/P` finalize), and model decryption — at 1, 2,
+//! homomorphic FedAvg (fold + `1/P` finalize), model decryption, and the
+//! per-ciphertext wire and decode layers (canonical and seeded
+//! serialization, canonical deserialization, CRT decode) — at 1, 2,
 //! and 4 threads, and writes the measurements to `BENCH_fhe.json` for
 //! the CI trend line, together with canonical vs seeded wire sizes.
 //! Parallelism never changes results (see `tests/parallel_determinism`),
@@ -28,6 +30,7 @@ use rhychee_core::round::{ClientUpdate, ServerRound};
 use rhychee_core::Aggregation;
 use rhychee_fhe::ckks::modarith::find_ntt_primes;
 use rhychee_fhe::ckks::ntt::NttTable;
+use rhychee_fhe::ckks::rns::{CrtReconstructor, RnsPoly};
 use rhychee_fhe::ckks::{CkksCiphertext, CkksContext};
 use rhychee_fhe::params::CkksParams;
 use rhychee_par::Parallelism;
@@ -309,6 +312,34 @@ fn main() {
             ns_per_op: decrypt_ns,
             backend: ntt_backend,
         });
+
+        // Wire and decode layers, per ciphertext. The canonical rows use
+        // a coefficient-domain ciphertext, so they time residue packing
+        // alone (a resident one would add its inverse NTTs); the CRT row
+        // decodes one full-level polynomial of small centered values, as
+        // decryption produces.
+        let blob = ctx.serialize(&global[0]);
+        let coeff_ct = ctx.deserialize(&blob).expect("deserialize");
+        let fresh = ctx.encrypt_symmetric(&sk, &[0.5; 64], &mut rng).expect("encrypt");
+        let coeffs: Vec<i64> =
+            (0..params.n as i64).map(|i| (i * 0x9E37_79B9) % (1 << 40) - (1 << 39)).collect();
+        let poly = RnsPoly::from_signed_coeffs(&coeffs, ctx.primes());
+        let crt = CrtReconstructor::new(ctx.primes());
+        let wire_rows: [(&str, f64); 4] = [
+            ("serialize", time_ns(iters, || drop(std::hint::black_box(ctx.serialize(&coeff_ct))))),
+            ("deserialize", time_ns(iters, || drop(std::hint::black_box(ctx.deserialize(&blob))))),
+            (
+                "serialize_seeded",
+                time_ns(iters, || drop(std::hint::black_box(ctx.serialize_seeded(&fresh)))),
+            ),
+            (
+                "crt_decode",
+                time_ns(iters, || drop(std::hint::black_box(poly.to_centered_f64_by(&crt, par)))),
+            ),
+        ];
+        for (op, ns_per_op) in wire_rows {
+            samples.push(Sample { op: op.into(), threads, ns_per_op, backend: ntt_backend });
+        }
         eprintln!("  [threads = {threads}] done");
     }
 

@@ -4,6 +4,12 @@
 //! RLWE, `(n+1)·log q` for LWE). Packing each residue at exactly
 //! `⌈log2 q⌉` bits makes our serialized sizes match the analytical
 //! formulas, which the channel experiments depend on.
+//!
+//! The stream is LSB-first within little-endian bytes: bit `k` of the
+//! stream is bit `k % 8` of byte `k / 8`. Writer and reader move whole
+//! 64-bit words, which is exactly that layout read as little-endian
+//! `u64`s, so a value costs a shift and an OR rather than one loop
+//! iteration per bit.
 
 use crate::error::FheError;
 
@@ -11,7 +17,13 @@ use crate::error::FheError;
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    bit_pos: usize,
+    /// Length of `buf` when the writer took it over; the bytes before
+    /// it belong to the caller and count toward no [`BitWriter::bit_len`].
+    start: usize,
+    /// Written bits not yet flushed to `buf`, lowest bit first.
+    acc: u64,
+    /// Valid bits in `acc`, always below 64.
+    acc_bits: u32,
 }
 
 impl BitWriter {
@@ -20,34 +32,46 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates a writer that appends to `buf`, starting at its next byte
+    /// boundary; [`BitWriter::into_bytes`] hands the extended buffer back.
+    pub(crate) fn appending(buf: Vec<u8>) -> Self {
+        BitWriter { start: buf.len(), buf, acc: 0, acc_bits: 0 }
+    }
+
     /// Appends the low `bits` bits of `value`.
     ///
     /// # Panics
     ///
     /// Panics if `bits > 64` or if `value` has bits set above `bits`.
+    #[inline]
     pub fn write_bits(&mut self, value: u64, bits: u32) {
         assert!(bits <= 64, "cannot write more than 64 bits at once");
         assert!(bits == 64 || value < (1u64 << bits), "value {value} does not fit in {bits} bits");
-        for i in 0..bits {
-            let byte = self.bit_pos / 8;
-            let off = self.bit_pos % 8;
-            if byte == self.buf.len() {
-                self.buf.push(0);
-            }
-            if (value >> i) & 1 == 1 {
-                self.buf[byte] |= 1 << off;
-            }
-            self.bit_pos += 1;
+        if bits == 0 {
+            return;
         }
+        self.acc |= value << self.acc_bits;
+        let filled = self.acc_bits + bits;
+        if filled < 64 {
+            self.acc_bits = filled;
+            return;
+        }
+        self.buf.extend_from_slice(&self.acc.to_le_bytes());
+        // The bits of `value` that did not fit above the old pending ones.
+        self.acc = if self.acc_bits == 0 { 0 } else { value >> (64 - self.acc_bits) };
+        self.acc_bits = filled - 64;
     }
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> usize {
-        self.bit_pos
+        (self.buf.len() - self.start) * 8 + self.acc_bits as usize
     }
 
-    /// Finishes writing and returns the byte buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
+    /// Finishes writing and returns the byte buffer, the last byte
+    /// zero-padded above the final bit.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        let tail = self.acc_bits.div_ceil(8) as usize;
+        self.buf.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
         self.buf
     }
 }
@@ -69,30 +93,64 @@ impl<'a> BitReader<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`FheError::Deserialize`] if the buffer is exhausted.
+    /// Returns [`FheError::Deserialize`] if the buffer is exhausted; the
+    /// failed read consumes nothing.
+    #[inline]
     pub fn read_bits(&mut self, bits: u32) -> Result<u64, FheError> {
         assert!(bits <= 64, "cannot read more than 64 bits at once");
-        if self.bit_pos + bits as usize > self.buf.len() * 8 {
+        let end = self.bit_pos + bits as usize;
+        if end > self.buf.len() * 8 {
             return Err(FheError::Deserialize(format!(
                 "unexpected end of buffer at bit {}",
                 self.bit_pos
             )));
         }
-        let mut value = 0u64;
-        for i in 0..bits {
-            let byte = self.bit_pos / 8;
-            let off = self.bit_pos % 8;
-            if (self.buf[byte] >> off) & 1 == 1 {
-                value |= 1 << i;
-            }
-            self.bit_pos += 1;
+        if bits == 0 {
+            return Ok(0);
         }
-        Ok(value)
+        let byte = self.bit_pos / 8;
+        let off = (self.bit_pos % 8) as u32;
+        let mut value = load_le(self.buf, byte) >> off;
+        if off + bits > 64 {
+            // The read spans nine bytes; `end` lies inside the buffer, so
+            // the ninth exists.
+            value |= u64::from(self.buf[byte + 8]) << (64 - off);
+        }
+        self.bit_pos = end;
+        Ok(if bits == 64 { value } else { value & ((1u64 << bits) - 1) })
     }
 
     /// Bits consumed so far.
     pub fn bit_pos(&self) -> usize {
         self.bit_pos
+    }
+}
+
+/// The little-endian word starting at byte `at`, zero-filled past the
+/// end of `buf`.
+#[inline]
+fn load_le(buf: &[u8], at: usize) -> u64 {
+    match buf.get(at..at + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+        None => {
+            let mut word = [0u8; 8];
+            let tail = &buf[at..];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(word)
+        }
+    }
+}
+
+/// Reduces a residue read at `bits_for(q)` bits into `[0, q)`. Any value
+/// below `2^bits_for(q)` is below `2q`, so one conditional subtraction
+/// gives the same result as `% q`.
+#[inline]
+pub(crate) fn reduce_once(v: u64, q: u64) -> u64 {
+    debug_assert!(v < 2 * q, "{v} is not below 2q for q = {q}");
+    if v >= q {
+        v - q
+    } else {
+        v
     }
 }
 
@@ -377,6 +435,161 @@ mod tests {
             PackingLayout::BitInterleaved { bits: 30 }.validate(4).is_ok(),
             "exactly at budget"
         );
+    }
+
+    /// The bit-serial packer the word-level one replaced, kept as the
+    /// reference its bytes and reads must match.
+    mod oracle {
+        use crate::error::FheError;
+
+        #[derive(Default)]
+        pub struct Writer {
+            pub buf: Vec<u8>,
+            pub bit_pos: usize,
+        }
+
+        impl Writer {
+            pub fn write_bits(&mut self, value: u64, bits: u32) {
+                for i in 0..bits {
+                    let byte = self.bit_pos / 8;
+                    if byte == self.buf.len() {
+                        self.buf.push(0);
+                    }
+                    if (value >> i) & 1 == 1 {
+                        self.buf[byte] |= 1 << (self.bit_pos % 8);
+                    }
+                    self.bit_pos += 1;
+                }
+            }
+        }
+
+        pub struct Reader<'a> {
+            pub buf: &'a [u8],
+            pub bit_pos: usize,
+        }
+
+        impl Reader<'_> {
+            pub fn read_bits(&mut self, bits: u32) -> Result<u64, FheError> {
+                if self.bit_pos + bits as usize > self.buf.len() * 8 {
+                    return Err(FheError::Deserialize("end of buffer".into()));
+                }
+                let mut value = 0u64;
+                for i in 0..bits {
+                    if (self.buf[self.bit_pos / 8] >> (self.bit_pos % 8)) & 1 == 1 {
+                        value |= 1 << i;
+                    }
+                    self.bit_pos += 1;
+                }
+                Ok(value)
+            }
+        }
+    }
+
+    fn low_bits(value: u64, bits: u32) -> u64 {
+        if bits == 64 {
+            value
+        } else {
+            value & ((1u64 << bits) - 1)
+        }
+    }
+
+    /// Writes `entries` with both packers, checks the bytes agree, then
+    /// reads them back from every prefix `cut` of the buffer with both
+    /// readers: values, failing call and position must agree.
+    fn check_against_oracle(entries: &[(u64, u32)], cut: usize) -> Result<(), String> {
+        let mut w = BitWriter::new();
+        let mut o = oracle::Writer::default();
+        for &(v, b) in entries {
+            w.write_bits(v, b);
+            o.write_bits(v, b);
+        }
+        if w.bit_len() != o.bit_pos {
+            return Err(format!("bit_len {} vs {}", w.bit_len(), o.bit_pos));
+        }
+        let bytes = w.into_bytes();
+        if bytes != o.buf {
+            return Err("written bytes differ".into());
+        }
+        let short = &bytes[..cut.min(bytes.len())];
+        let mut r = BitReader::new(short);
+        let mut ro = oracle::Reader { buf: short, bit_pos: 0 };
+        for (k, &(v, b)) in entries.iter().enumerate() {
+            match (r.read_bits(b), ro.read_bits(b)) {
+                (Ok(x), Ok(y)) if x == y && (short.len() < bytes.len() || x == v) => {}
+                (Err(_), Err(_)) if r.bit_pos() == ro.bit_pos => return Ok(()),
+                (got, want) => {
+                    return Err(format!("read {k} ({b} bits): {got:?} vs oracle {want:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn word_packer_matches_bit_serial_oracle(
+            values in proptest::prelude::prop::collection::vec(
+                proptest::prelude::any::<u64>(), 0..160),
+            widths in proptest::prelude::prop::collection::vec(0u32..=64, 160),
+            cut in proptest::prelude::any::<u64>(),
+        ) {
+            let entries: Vec<(u64, u32)> =
+                values.iter().zip(&widths).map(|(&v, &b)| (low_bits(v, b), b)).collect();
+            let total_bytes = entries.iter().map(|e| e.1 as usize).sum::<usize>().div_ceil(8);
+            // The whole buffer, and one prefix of it.
+            let full = check_against_oracle(&entries, usize::MAX);
+            proptest::prop_assert!(full.is_ok(), "{:?}", full);
+            let cut = (cut % (total_bytes as u64 + 1)) as usize;
+            let short = check_against_oracle(&entries, cut);
+            proptest::prop_assert!(short.is_ok(), "cut at {cut}: {:?}", short);
+        }
+    }
+
+    #[test]
+    fn full_width_writes_at_every_bit_offset_match_the_oracle() {
+        let mut rng = StdRng::seed_from_u64(64);
+        for offset in 0..64u32 {
+            let entries = [
+                (low_bits(rng.gen(), offset), offset),
+                (rng.gen(), 64),
+                (u64::MAX, 64),
+                (low_bits(rng.gen(), 63 - offset), 63 - offset),
+                (rng.gen(), 64),
+            ];
+            for cut in 0..=entries.iter().map(|e| e.1 as usize).sum::<usize>().div_ceil(8) {
+                check_against_oracle(&entries, cut)
+                    .unwrap_or_else(|e| panic!("offset {offset}: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn appending_writer_extends_the_buffer_it_was_given() {
+        let mut fresh = BitWriter::new();
+        let mut appended = BitWriter::appending(vec![0xAA, 0xBB]);
+        for (v, b) in [(5u64, 3u32), (u64::MAX, 64), (0x1234, 13)] {
+            fresh.write_bits(v, b);
+            appended.write_bits(v, b);
+        }
+        assert_eq!(appended.bit_len(), fresh.bit_len());
+        let fresh = fresh.into_bytes();
+        let appended = appended.into_bytes();
+        assert_eq!(&appended[..2], &[0xAA, 0xBB]);
+        assert_eq!(&appended[2..], &fresh[..]);
+    }
+
+    #[test]
+    fn reduce_once_matches_remainder_below_the_packed_width() {
+        for q in [2u64, 3, 1024, 1025, (1 << 40) + 1, (1u64 << 61) - 1, (1 << 62) - 57] {
+            let top = 1u64 << bits_for(q);
+            for v in [0, 1, q - 1, q, q + 1, top - 1, top / 2, top / 2 + 1] {
+                if v < top {
+                    assert_eq!(reduce_once(v, q), v % q, "{v} mod {q}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! built once at keygen, fresh ciphertexts come out of encryption in the
 //! evaluation domain, and the additive operations stay pointwise there.
 //! Residue rows are inverse-transformed only at the decrypt/serialize
-//! boundary, so a full encrypt→aggregate→decrypt round costs four
-//! forward NTTs per prime on the client and one inverse per prime at
-//! decryption — down from six transforms plus two key re-transforms per
-//! encryption. The NTT is a per-prime linear bijection, so every
-//! decrypted value and every canonical serialized byte is bit-identical
-//! to the coefficient-domain reference path (kept behind
+//! boundary, so a full encrypt→aggregate→decrypt round costs three
+//! forward NTTs per prime on the client (the message rides in the
+//! `e0` row's transform) and one inverse per prime at decryption — down
+//! from six transforms plus two key re-transforms per encryption. The
+//! NTT is a per-prime linear bijection, so every decrypted value and
+//! every canonical serialized byte is bit-identical to the
+//! coefficient-domain reference path (kept behind
 //! [`CkksContext::set_eval_resident`] for tests and benchmarks).
 
 use std::collections::HashMap;
@@ -25,7 +26,7 @@ use rand::Rng;
 use rhychee_par::Parallelism;
 use rhychee_telemetry as telemetry;
 
-use crate::bitpack::{bits_for, BitReader, BitWriter};
+use crate::bitpack::{bits_for, reduce_once, BitReader, BitWriter};
 use crate::error::FheError;
 use crate::params::CkksParams;
 use crate::sampling::{gaussian_fill, gaussian_vec, ternary_vec};
@@ -33,7 +34,7 @@ use crate::sampling::{gaussian_fill, gaussian_vec, ternary_vec};
 use super::encoder::{CkksEncoder, Complex};
 use super::modarith::{add_mod, find_ntt_primes, mul_mod};
 use super::ntt::{cached_table, NttTable};
-use super::rns::{Domain, RnsPoly};
+use super::rns::{CrtReconstructor, Domain, RnsPoly};
 use super::{scratch, seedexp};
 
 /// Shared CKKS evaluation context: primes, NTT tables and the encoder.
@@ -60,6 +61,9 @@ pub struct CkksContext {
     params: CkksParams,
     primes: Vec<u64>,
     ntt: Vec<Arc<NttTable>>,
+    /// CRT decoders for the first `l + 1` primes at index `l`, built once
+    /// here rather than on every decrypt.
+    crt: Vec<CrtReconstructor>,
     encoder: CkksEncoder,
     parallelism: Parallelism,
     /// When true (the default), encryption emits evaluation-domain
@@ -241,12 +245,13 @@ impl CkksContext {
             .map(|b| pools.get_mut(b).expect("pool exists").remove(0))
             .collect();
         let ntt = primes.iter().map(|&q| cached_table(params.n, q)).collect();
+        let crt = (1..=primes.len()).map(|l| CrtReconstructor::new(&primes[..l])).collect();
         let encoder = CkksEncoder::new(params.n, 1u64 << params.scale_bits);
         // Expose the crate's two long-lived heap consumers to the memory
         // observability plane (idempotent: re-registration replaces).
         telemetry::mem::register_source("fhe.ntt_table_cache", super::ntt::table_cache_bytes);
         telemetry::mem::register_source("fhe.scratch", scratch::pooled_bytes);
-        Ok(CkksContext { params, primes, ntt, encoder, parallelism, eval_resident: true })
+        Ok(CkksContext { params, primes, ntt, crt, encoder, parallelism, eval_resident: true })
     }
 
     /// The parameter set this context was built from.
@@ -381,13 +386,14 @@ impl CkksContext {
     }
 
     /// Evaluation-domain encryption: exactly one forward NTT per prime
-    /// for each of `v` (shared by both components), `e0`, `e1` and `m`,
+    /// for each of `v` (shared by both components), `e0 + m` and `e1`,
     /// zero inverses, zero key transforms. Per prime:
-    /// `c0 = b̂ ∘ NTT(v) + NTT(e0) + NTT(m)`, `c1 = â ∘ NTT(v) + NTT(e1)`.
+    /// `c0 = b̂ ∘ NTT(v) + NTT(e0 + m)`, `c1 = â ∘ NTT(v) + NTT(e1)`.
     ///
-    /// The NTT is linear over `Z_q`, so INTT of these rows equals the
-    /// reference path's coefficient rows exactly — same ciphertext, new
-    /// domain.
+    /// The NTT is linear over `Z_q` with canonical outputs, so
+    /// `NTT(e0 + m)` equals `NTT(e0) + NTT(m)` residue for residue, and
+    /// INTT of these rows equals the reference path's coefficient rows
+    /// exactly — same ciphertext, new domain.
     fn encrypt_resident(
         &self,
         pk: &CkksPublicKey,
@@ -410,17 +416,12 @@ impl CkksContext {
             // r1 holds NTT(v) until c0 is assembled, then becomes c1.
             reduce_signed_into(&noise.v, q, r1);
             table.forward(r1);
-            // c0 = b̂ ∘ NTT(v) + NTT(e0) + NTT(m)
-            reduce_signed_into(&noise.e0, q, r0);
+            // c0 = b̂ ∘ NTT(v) + NTT(e0 + m)
+            reduce_signed_add_into(&noise.e0, m.residues(i), q, r0);
             table.forward(r0);
-            scratch::with_row(n, |t| {
-                t.copy_from_slice(m.residues(i));
-                table.forward(t);
-                for j in 0..n {
-                    let e0_m = add_mod(r0[j], t[j], q);
-                    r0[j] = add_mod(mul_mod(b_row[j], r1[j], q), e0_m, q);
-                }
-            });
+            for j in 0..n {
+                r0[j] = add_mod(mul_mod(b_row[j], r1[j], q), r0[j], q);
+            }
             // c1 = â ∘ NTT(v) + NTT(e1)
             scratch::with_row(n, |t| {
                 reduce_signed_into(&noise.e1, q, t);
@@ -516,8 +517,8 @@ impl CkksContext {
     /// Always evaluation-domain: `c1 = a` is expanded from the seed
     /// directly in NTT form (the NTT is a bijection on `Z_q^N`, so a
     /// uniform evaluation-domain polynomial is exactly as uniform as a
-    /// coefficient-domain one), and `c0 = −(a ∘ ŝ) + NTT(e) + NTT(m)` —
-    /// two forward transforms per prime, zero inverses.
+    /// coefficient-domain one), and `c0 = −(a ∘ ŝ) + NTT(e + m)` — one
+    /// forward transform per prime, zero inverses.
     ///
     /// # Errors
     ///
@@ -540,19 +541,8 @@ impl CkksContext {
             let q = self.primes[i];
             let s_row = sk.s_eval.residues(i);
             *r1 = seedexp::expand_row(&noise.seed, i, q, n);
-            // c0 = −(a ∘ ŝ) + NTT(e) + NTT(m)
             r0.resize(n, 0);
-            reduce_signed_into(&noise.e, q, r0);
-            table.forward(r0);
-            scratch::with_row(n, |t| {
-                t.copy_from_slice(m.residues(i));
-                table.forward(t);
-                for j in 0..n {
-                    let e_m = add_mod(r0[j], t[j], q);
-                    let a_s = mul_mod(r1[j], s_row[j], q);
-                    r0[j] = add_mod(if a_s == 0 { 0 } else { q - a_s }, e_m, q);
-                }
-            });
+            symmetric_c0_row(table, &noise.e, m.residues(i), r1, s_row, q, r0);
         });
         telemetry::count("fhe.ckks.encrypt.count", 1);
         let (rows0, rows1): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
@@ -572,8 +562,8 @@ impl CkksContext {
     ///
     /// Runs in two passes so `out`'s fields can be borrowed disjointly:
     /// pass 1 expands every `c1` row from the seed directly in NTT form;
-    /// pass 2 computes `c0 = −(a ∘ ŝ) + NTT(e) + NTT(m)` reading the
-    /// finished `c1` rows immutably. Same two forward transforms per
+    /// pass 2 computes `c0 = −(a ∘ ŝ) + NTT(e + m)` reading the
+    /// finished `c1` rows immutably. Same one forward transform per
     /// prime as the allocating variant.
     ///
     /// # Errors
@@ -610,18 +600,7 @@ impl CkksContext {
             let table = &self.ntt[i];
             let q = self.primes[i];
             let s_row = sk.s_eval.residues(i);
-            let r1 = c1.residues(i);
-            reduce_signed_into(&noise.e, q, r0);
-            table.forward(r0);
-            scratch::with_row(n, |t| {
-                t.copy_from_slice(m.residues(i));
-                table.forward(t);
-                for j in 0..n {
-                    let e_m = add_mod(r0[j], t[j], q);
-                    let a_s = mul_mod(r1[j], s_row[j], q);
-                    r0[j] = add_mod(if a_s == 0 { 0 } else { q - a_s }, e_m, q);
-                }
-            });
+            symmetric_c0_row(table, &noise.e, m.residues(i), c1.residues(i), s_row, q, r0);
         });
         telemetry::count("fhe.ckks.encrypt.count", 1);
         out.scale = self.encoder.scale();
@@ -676,7 +655,7 @@ impl CkksContext {
                 });
             }
         }
-        let coeffs = m.to_centered_f64_with(active, self.parallelism);
+        let coeffs = m.to_centered_f64_by(&self.crt[levels - 1], self.parallelism);
         self.encoder.decode_with_scale(&coeffs, ct.scale)
     }
 
@@ -883,7 +862,17 @@ impl CkksContext {
     /// therefore serialize to identical bytes, and the channel-noise
     /// experiments keep their corruption-decrypts-to-garbage semantics.
     pub fn serialize(&self, ct: &CkksCiphertext) -> Vec<u8> {
-        let mut w = BitWriter::new();
+        let mut out = Vec::with_capacity(self.serialized_len(ct.levels()));
+        self.serialize_into(ct, &mut out);
+        out
+    }
+
+    /// [`CkksContext::serialize`] appended to `out`: exactly
+    /// [`CkksContext::serialized_len`] more bytes, with no intermediate
+    /// buffer (wire frames serialize every ciphertext straight into the
+    /// frame).
+    pub fn serialize_into(&self, ct: &CkksCiphertext, out: &mut Vec<u8>) {
+        let mut w = BitWriter::appending(std::mem::take(out));
         w.write_bits(ct.levels() as u64, 8);
         w.write_bits(ct.scale.to_bits(), 64);
         for poly in [&ct.c0, &ct.c1] {
@@ -905,7 +894,7 @@ impl CkksContext {
                 }
             }
         }
-        w.into_bytes()
+        *out = w.into_bytes();
     }
 
     /// Serializes a fresh symmetric ciphertext in the seed-compressed
@@ -919,13 +908,30 @@ impl CkksContext {
     /// Returns [`FheError::Serialize`] if the ciphertext no longer
     /// carries its expansion seed (any homomorphic operation clears it).
     pub fn serialize_seeded(&self, ct: &CkksCiphertext) -> Result<Vec<u8>, FheError> {
+        let mut out = Vec::with_capacity(self.serialized_len_seeded(ct.levels()));
+        self.serialize_seeded_into(ct, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`CkksContext::serialize_seeded`] appended to `out`: exactly
+    /// [`CkksContext::serialized_len_seeded`] more bytes on success.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FheError::Serialize`], leaving `out` untouched, if the
+    /// ciphertext carries no expansion seed.
+    pub fn serialize_seeded_into(
+        &self,
+        ct: &CkksCiphertext,
+        out: &mut Vec<u8>,
+    ) -> Result<(), FheError> {
         let Some(seed) = ct.c1_seed else {
             return Err(FheError::Serialize(
                 "ciphertext carries no expansion seed (not a fresh symmetric encryption)".into(),
             ));
         };
         debug_assert_eq!(ct.c0.domain(), Domain::Eval, "seeded ciphertexts are eval-resident");
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::appending(std::mem::take(out));
         w.write_bits(ct.levels() as u64, 8);
         w.write_bits(ct.scale.to_bits(), 64);
         for chunk in seed.chunks_exact(8) {
@@ -938,7 +944,8 @@ impl CkksContext {
                 w.write_bits(r, bits);
             }
         }
-        Ok(w.into_bytes())
+        *out = w.into_bytes();
+        Ok(())
     }
 
     /// Exact byte length of the seed-compressed format at `levels`
@@ -993,8 +1000,8 @@ impl CkksContext {
         let mut c0 = RnsPoly::zero_in(n, levels, Domain::Eval);
         for (i, &q) in self.primes[..levels].iter().enumerate() {
             let bits = bits_for(q);
-            for j in 0..n {
-                c0.residues_mut(i)[j] = r.read_bits(bits)? % q;
+            for slot in c0.residues_mut(i) {
+                *slot = reduce_once(r.read_bits(bits)?, q);
             }
         }
         let mut c1 = RnsPoly::zero_in(n, levels, Domain::Eval);
@@ -1047,9 +1054,9 @@ impl CkksContext {
             let mut poly = RnsPoly::zero(n, levels);
             for (i, &q) in self.primes[..levels].iter().enumerate() {
                 let bits = bits_for(q);
-                for j in 0..n {
+                for slot in poly.residues_mut(i) {
                     // Reduce mod q: a flipped bit may push a residue over q.
-                    poly.residues_mut(i)[j] = r.read_bits(bits)? % q;
+                    *slot = reduce_once(r.read_bits(bits)?, q);
                 }
             }
             polys.push(poly);
@@ -1211,6 +1218,34 @@ impl CkksContext {
 fn reduce_signed_into(coeffs: &[i64], q: u64, out: &mut [u64]) {
     for (o, &c) in out.iter_mut().zip(coeffs) {
         *o = ((c % q as i64 + q as i64) % q as i64) as u64;
+    }
+}
+
+/// `out = (coeffs mod q) + m_row`, the error row with the encoded
+/// message row added before the single forward transform.
+fn reduce_signed_add_into(coeffs: &[i64], m_row: &[u64], q: u64, out: &mut [u64]) {
+    reduce_signed_into(coeffs, q, out);
+    for (o, &m) in out.iter_mut().zip(m_row) {
+        *o = add_mod(*o, m, q);
+    }
+}
+
+/// One prime's symmetric `c0 = −(a ∘ ŝ) + NTT(e + m)` row into `r0`,
+/// given the evaluation-domain rows of `a` and `ŝ`.
+fn symmetric_c0_row(
+    table: &NttTable,
+    e: &[i64],
+    m_row: &[u64],
+    a_row: &[u64],
+    s_row: &[u64],
+    q: u64,
+    r0: &mut [u64],
+) {
+    reduce_signed_add_into(e, m_row, q, r0);
+    table.forward(r0);
+    for ((c, &a), &s) in r0.iter_mut().zip(a_row).zip(s_row) {
+        let a_s = mul_mod(a, s, q);
+        *c = add_mod(if a_s == 0 { 0 } else { q - a_s }, *c, q);
     }
 }
 

@@ -10,6 +10,7 @@ use rhychee_bigint::{mod_inv, BigUint};
 use rhychee_par::Parallelism;
 
 use super::modarith::{add_mod, inv_mod, mul_mod, neg_mod, sub_mod};
+use super::ntt::{mul_shoup, shoup};
 
 /// Which basis the residue rows of an [`RnsPoly`] are expressed in.
 ///
@@ -264,7 +265,8 @@ impl RnsPoly {
     /// # Panics
     ///
     /// Panics if the digits cannot cover `Q/2` (i.e.
-    /// `num_digits · log_base` is too small).
+    /// `num_digits · log_base` is too small), if `log_base` is not in
+    /// `1..64`, or if the chain is too wide for [`CrtReconstructor`].
     pub fn to_signed_digits(
         &self,
         primes: &[u64],
@@ -273,6 +275,7 @@ impl RnsPoly {
     ) -> Vec<RnsPoly> {
         let levels = self.levels();
         assert_eq!(self.domain, Domain::Coeff, "digit decomposition requires coefficient domain");
+        assert!((1..64).contains(&log_base), "digit base 2^{log_base} must be in 2^1..2^63");
         let active = &primes[..levels];
         let total_bits: u32 = active.iter().map(|&q| 64 - (q - 1).leading_zeros()).sum();
         assert!(
@@ -281,20 +284,20 @@ impl RnsPoly {
         );
         let n = self.degree();
         let crt = CrtReconstructor::new(active);
+        let width = crt.width;
         let mut out = vec![RnsPoly::zero(n, levels); num_digits];
         let base_mask = (1u64 << log_base) - 1;
         for j in 0..n {
-            let rs: Vec<u64> = (0..levels).map(|i| self.residues[i][j]).collect();
-            let (negative, mut mag) = crt.centered_parts(&rs);
+            let (negative, mut mag) = crt.centered_limbs(|i| self.residues[i][j]);
             for digit_poly in out.iter_mut() {
-                let limb = mag.limbs().first().copied().unwrap_or(0) & base_mask;
-                mag = mag >> (log_base as usize);
+                let limb = mag[0] & base_mask;
+                shr_assign(&mut mag[..width], log_base);
                 for (i, &q) in active.iter().enumerate() {
                     let r = limb % q;
                     digit_poly.residues_mut(i)[j] = if negative && r != 0 { q - r } else { r };
                 }
             }
-            debug_assert!(mag.is_zero(), "digits must cover the centered value");
+            debug_assert!(mag.iter().all(|&l| l == 0), "digits must cover the centered value");
         }
         out
     }
@@ -310,46 +313,102 @@ impl RnsPoly {
     }
 
     /// [`RnsPoly::to_centered_f64`] with coefficients reconstructed in
-    /// up to `par.degree()` chunks (the per-coefficient big-integer CRT
-    /// dominates decrypt time at high degree). Each coefficient is
-    /// independent, so the result is bit-identical for every degree.
+    /// up to `par.degree()` chunks. Each coefficient is independent, so
+    /// the result is bit-identical for every degree.
     pub fn to_centered_f64_with(&self, primes: &[u64], par: Parallelism) -> Vec<f64> {
+        self.to_centered_f64_by(&CrtReconstructor::new(&primes[..self.levels()]), par)
+    }
+
+    /// [`RnsPoly::to_centered_f64_with`] with a reconstructor built for
+    /// exactly this polynomial's active primes (contexts cache one per
+    /// level). Coefficient ranges of at least `CRT_MIN_CHUNK` are
+    /// decoded in parallel into their own slices of the output, with no
+    /// per-coefficient allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `crt` was built for a different number of primes.
+    pub fn to_centered_f64_by(&self, crt: &CrtReconstructor, par: Parallelism) -> Vec<f64> {
         let l = self.levels();
         assert_eq!(self.domain, Domain::Coeff, "CRT decode requires coefficient domain");
-        let active = &primes[..l];
+        assert_eq!(crt.primes.len(), l, "reconstructor built for another level");
         if l == 1 {
-            let q = active[0];
+            let q = crt.primes[0];
             return self.residues[0]
                 .iter()
                 .map(|&x| if x > q / 2 { x as f64 - q as f64 } else { x as f64 })
                 .collect();
         }
-        let crt = CrtReconstructor::new(active);
-        rhychee_par::map(par, self.degree(), |j| {
-            let rs: Vec<u64> = (0..l).map(|i| self.residues[i][j]).collect();
-            crt.centered_f64(&rs)
-        })
+        let mut out = vec![0.0f64; self.degree()];
+        let mut chunks: Vec<(usize, &mut [f64])> =
+            out.chunks_mut(CRT_MIN_CHUNK).enumerate().collect();
+        rhychee_par::for_each_mut(par, &mut chunks, |_, (ci, chunk)| {
+            let base = *ci * CRT_MIN_CHUNK;
+            for (k, slot) in chunk.iter_mut().enumerate() {
+                *slot = crt.centered_f64_by(|i| self.residues[i][base + k]);
+            }
+        });
+        out
     }
 }
 
+/// Coefficients per parallel task of the CRT decode: large enough that
+/// a task's reconstruction work outweighs its dispatch.
+pub(crate) const CRT_MIN_CHUNK: usize = 1024;
+
+/// Most 64-bit limbs [`CrtReconstructor`] works in. Its largest
+/// intermediate is an un-reduced sum below `L·Q`, so chains with
+/// `log Q + ⌈log2 L⌉ > 64 · CRT_MAX_LIMBS` are rejected by
+/// [`crate::params::CkksParams::validate`].
+pub const CRT_MAX_LIMBS: usize = 8;
+
+/// A fixed-width little-endian multi-limb integer; limbs at and above a
+/// reconstructor's width are zero.
+type Limbs = [u64; CRT_MAX_LIMBS];
+
 /// Precomputed Chinese-remainder reconstruction for a prime basis.
+///
+/// `Q`, `⌊Q/2⌋` and every `Q/q_i` are held as fixed-width `u64` limbs,
+/// so reconstructing a coefficient is a few multiply-accumulates and
+/// conditional subtractions on the stack; big integers appear only in
+/// [`CrtReconstructor::new`].
+#[derive(Debug, Clone)]
 pub struct CrtReconstructor {
     primes: Vec<u64>,
-    q: BigUint,
-    half_q: BigUint,
-    /// `(Q/q_i)` as big integers.
-    q_hat: Vec<BigUint>,
     /// `(Q/q_i)^{-1} mod q_i`.
     q_hat_inv: Vec<u64>,
+    /// Shoup quotients `⌊q_hat_inv_i · 2^64 / q_i⌋` of the above.
+    q_hat_inv_shoup: Vec<u64>,
+    /// `Q/q_i`.
+    q_hat: Vec<Limbs>,
+    q: Limbs,
+    half_q: Limbs,
+    /// Limbs in use: enough to hold `L·Q`.
+    width: usize,
 }
 
 impl CrtReconstructor {
     /// Builds a reconstructor for the given coprime basis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `L·Q` needs more than [`CRT_MAX_LIMBS`] limbs.
     pub fn new(primes: &[u64]) -> Self {
         let q = primes.iter().fold(BigUint::one(), |acc, &p| acc.mul_u64(p));
-        let half_q = &q >> 1;
+        let width = q.mul_u64(primes.len() as u64).limbs().len();
+        assert!(
+            width <= CRT_MAX_LIMBS,
+            "a {}-bit modulus over {} primes exceeds the {CRT_MAX_LIMBS}-limb CRT",
+            q.bits(),
+            primes.len()
+        );
+        let limbs = |v: &BigUint| {
+            let mut out = [0u64; CRT_MAX_LIMBS];
+            out[..v.limbs().len()].copy_from_slice(v.limbs());
+            out
+        };
         let q_hat: Vec<BigUint> = primes.iter().map(|&p| q.div_rem_u64(p).0).collect();
-        let q_hat_inv = primes
+        let q_hat_inv: Vec<u64> = primes
             .iter()
             .zip(&q_hat)
             .map(|(&p, h)| {
@@ -358,13 +417,42 @@ impl CrtReconstructor {
                 u64::try_from(&inv).expect("inverse fits in u64")
             })
             .collect();
-        CrtReconstructor { primes: primes.to_vec(), q, half_q, q_hat, q_hat_inv }
+        CrtReconstructor {
+            primes: primes.to_vec(),
+            q_hat_inv_shoup: q_hat_inv.iter().zip(primes).map(|(&w, &p)| shoup(w, p)).collect(),
+            q_hat_inv,
+            q_hat: q_hat.iter().map(limbs).collect(),
+            half_q: limbs(&(&q >> 1)),
+            q: limbs(&q),
+            width,
+        }
     }
 
     /// Reconstructs residues to the centered representative as `f64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `residues` holds fewer values than there are primes.
     pub fn centered_f64(&self, residues: &[u64]) -> f64 {
-        let (negative, magnitude) = self.centered_parts(residues);
-        let v = biguint_to_f64(&magnitude);
+        debug_assert_eq!(residues.len(), self.primes.len(), "one residue per prime");
+        self.centered_f64_by(|i| residues[i])
+    }
+
+    /// Reconstructs residues to `(is_negative, |value|)` of the centered
+    /// representative in `(−Q/2, Q/2]`, the magnitude as little-endian
+    /// limbs (zero above the reconstructor's width).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `residues` holds fewer values than there are primes.
+    pub fn centered_parts(&self, residues: &[u64]) -> (bool, [u64; CRT_MAX_LIMBS]) {
+        debug_assert_eq!(residues.len(), self.primes.len(), "one residue per prime");
+        self.centered_limbs(|i| residues[i])
+    }
+
+    fn centered_f64_by(&self, residue: impl Fn(usize) -> u64) -> f64 {
+        let (negative, magnitude) = self.centered_limbs(residue);
+        let v = limbs_to_f64(&magnitude[..self.width]);
         if negative {
             -v
         } else {
@@ -372,35 +460,83 @@ impl CrtReconstructor {
         }
     }
 
-    /// Reconstructs residues to `(is_negative, |value|)` of the centered
-    /// representative in `(−Q/2, Q/2]`.
-    pub fn centered_parts(&self, residues: &[u64]) -> (bool, BigUint) {
-        let mut acc = BigUint::zero();
-        for ((&r, &p), (hat, &hat_inv)) in self.residues_iter(residues) {
-            let t = mul_mod(r, hat_inv, p);
-            acc += &hat.mul_u64(t);
+    /// The body of [`CrtReconstructor::centered_parts`], reading residue
+    /// `i` through `residue(i)` so callers need not gather them.
+    ///
+    /// `Σ t_i·(Q/q_i)` with `t_i < q_i` is below `L·Q`, so at most `L − 1`
+    /// subtractions of `Q` reduce it into `[0, Q)`.
+    fn centered_limbs(&self, residue: impl Fn(usize) -> u64) -> (bool, Limbs) {
+        let w = self.width;
+        let mut acc = [0u64; CRT_MAX_LIMBS];
+        for (i, (((&p, &hat_inv), &hat_inv_shoup), hat)) in self
+            .primes
+            .iter()
+            .zip(&self.q_hat_inv)
+            .zip(&self.q_hat_inv_shoup)
+            .zip(&self.q_hat)
+            .enumerate()
+        {
+            let t = u128::from(mul_shoup(residue(i), hat_inv, hat_inv_shoup, p));
+            let mut carry = 0u128;
+            for (a, &h) in acc[..w].iter_mut().zip(&hat[..w]) {
+                let s = t * u128::from(h) + u128::from(*a) + carry;
+                *a = s as u64;
+                carry = s >> 64;
+            }
+            debug_assert_eq!(carry, 0, "the sum stays below L·Q");
         }
-        let v = acc.rem_of(&self.q);
-        if v > self.half_q {
-            (true, &self.q - &v)
+        while !less_than(&acc[..w], &self.q[..w]) {
+            sub_assign(&mut acc[..w], &self.q[..w]);
+        }
+        if less_than(&self.half_q[..w], &acc[..w]) {
+            let mut magnitude = self.q;
+            sub_assign(&mut magnitude[..w], &acc[..w]);
+            (true, magnitude)
         } else {
-            (false, v)
+            (false, acc)
         }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn residues_iter<'a>(
-        &'a self,
-        residues: &'a [u64],
-    ) -> impl Iterator<Item = ((&'a u64, &'a u64), (&'a BigUint, &'a u64))> {
-        residues.iter().zip(&self.primes).zip(self.q_hat.iter().zip(&self.q_hat_inv))
     }
 }
 
-/// Converts a non-negative big integer to `f64` (with rounding).
-fn biguint_to_f64(v: &BigUint) -> f64 {
+/// `a < b` for equal-width little-endian limb slices.
+fn less_than(a: &[u64], b: &[u64]) -> bool {
+    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
+        if x != y {
+            return x < y;
+        }
+    }
+    false
+}
+
+/// `a -= b` for equal-width little-endian limb slices with `a ≥ b`.
+fn sub_assign(a: &mut [u64], b: &[u64]) {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d, b1) = x.overflowing_sub(y);
+        let (d, b2) = d.overflowing_sub(u64::from(borrow));
+        *x = d;
+        borrow = b1 || b2;
+    }
+    debug_assert!(!borrow, "subtrahend exceeds minuend");
+}
+
+/// `a >>= s` for little-endian limbs, `0 < s < 64`.
+fn shr_assign(a: &mut [u64], s: u32) {
+    let mut carry_in = 0u64;
+    for limb in a.iter_mut().rev() {
+        let carry_out = *limb << (64 - s);
+        *limb = (*limb >> s) | carry_in;
+        carry_in = carry_out;
+    }
+}
+
+/// Converts a non-negative little-endian limb integer to `f64` by
+/// Horner's rule from the top limb, rounding at every step. Zero limbs
+/// above the value's top limb leave the accumulator at exactly `0.0`,
+/// so any width gives the same bits as the value's own limbs would.
+fn limbs_to_f64(limbs: &[u64]) -> f64 {
     let mut acc = 0.0f64;
-    for &limb in v.limbs().iter().rev() {
+    for &limb in limbs.iter().rev() {
         acc = acc * 1.8446744073709552e19 + limb as f64;
     }
     acc
@@ -510,11 +646,193 @@ mod tests {
     }
 
     #[test]
-    fn biguint_f64_conversion_accuracy() {
-        assert_eq!(biguint_to_f64(&BigUint::from(0u64)), 0.0);
-        assert_eq!(biguint_to_f64(&BigUint::from(1u64 << 52)), (1u64 << 52) as f64);
-        let big = BigUint::from(u128::MAX);
+    fn limb_f64_conversion_accuracy() {
+        assert_eq!(limbs_to_f64(&[]), 0.0);
+        assert_eq!(limbs_to_f64(&[0, 0, 0]), 0.0);
+        assert_eq!(limbs_to_f64(&[1u64 << 52, 0]), (1u64 << 52) as f64);
         let expected = 2.0f64.powi(128);
-        assert!((biguint_to_f64(&big) - expected).abs() / expected < 1e-15);
+        assert!((limbs_to_f64(&[u64::MAX, u64::MAX]) - expected).abs() / expected < 1e-15);
+    }
+
+    #[test]
+    fn limb_helpers_match_u128() {
+        let cases = [0u128, 1, u64::MAX as u128, 1u128 << 64, u128::MAX / 3, u128::MAX];
+        let split = |v: u128| [v as u64, (v >> 64) as u64];
+        for &a in &cases {
+            for &b in &cases {
+                assert_eq!(less_than(&split(a), &split(b)), a < b, "{a} < {b}");
+                if a >= b {
+                    let mut d = split(a);
+                    sub_assign(&mut d, &split(b));
+                    assert_eq!(d, split(a - b));
+                }
+            }
+            for s in [1u32, 8, 31, 63] {
+                let mut v = split(a);
+                shr_assign(&mut v, s);
+                assert_eq!(v, split(a >> s), "{a} >> {s}");
+            }
+        }
+    }
+
+    /// The big-integer reconstruction the limb code replaced, kept as
+    /// its reference: `(Σ t_i·(Q/q_i)) mod Q`, centered into
+    /// `(−Q/2, Q/2]`.
+    fn oracle_parts(primes: &[u64], residues: &[u64]) -> (bool, BigUint) {
+        let q = primes.iter().fold(BigUint::one(), |acc, &p| acc.mul_u64(p));
+        let mut acc = BigUint::zero();
+        for (&r, &p) in residues.iter().zip(primes) {
+            let hat = q.div_rem_u64(p).0;
+            let inv = mod_inv(&hat.rem_of(&BigUint::from(p)), &BigUint::from(p)).expect("coprime");
+            let t = mul_mod(r, u64::try_from(&inv).expect("fits"), p);
+            acc += &hat.mul_u64(t);
+        }
+        let v = acc.rem_of(&q);
+        if v > (&q >> 1) {
+            (true, &q - &v)
+        } else {
+            (false, v)
+        }
+    }
+
+    /// The reference `f64` conversion: Horner over the value's own limbs.
+    fn oracle_f64(primes: &[u64], residues: &[u64]) -> f64 {
+        let (negative, magnitude) = oracle_parts(primes, residues);
+        let mut v = 0.0f64;
+        for &limb in magnitude.limbs().iter().rev() {
+            v = v * 1.8446744073709552e19 + limb as f64;
+        }
+        if negative {
+            -v
+        } else {
+            v
+        }
+    }
+
+    /// The reference digit decomposition of one coefficient: per digit,
+    /// its residue modulo each prime.
+    fn oracle_digits(primes: &[u64], residues: &[u64], log_base: u32, digits: usize) -> Vec<u64> {
+        let (negative, mut magnitude) = oracle_parts(primes, residues);
+        let mut out = Vec::new();
+        for _ in 0..digits {
+            let limb = magnitude.limbs().first().copied().unwrap_or(0) & ((1u64 << log_base) - 1);
+            magnitude = magnitude >> (log_base as usize);
+            for &q in primes {
+                let r = limb % q;
+                out.push(if negative && r != 0 { q - r } else { r });
+            }
+        }
+        assert!(magnitude.is_zero());
+        out
+    }
+
+    /// The prime chains of the toy and paper parameter sets, as the
+    /// context materializes them.
+    fn chains() -> &'static [Vec<u64>] {
+        static CHAINS: std::sync::OnceLock<Vec<Vec<u64>>> = std::sync::OnceLock::new();
+        CHAINS.get_or_init(|| {
+            use crate::params::CkksParams;
+            [CkksParams::toy(), CkksParams::ckks1(), CkksParams::ckks2(), CkksParams::ckks3()]
+                .into_iter()
+                .map(|p| crate::ckks::CkksContext::new(p).expect("params").primes().to_vec())
+                .collect()
+        })
+    }
+
+    /// Residues of `v mod q_i`.
+    fn residues_of(v: &BigUint, primes: &[u64]) -> Vec<u64> {
+        primes.iter().map(|&p| v.div_rem_u64(p).1).collect()
+    }
+
+    /// Random residue vectors plus the boundary values 0, 1, ⌊Q/2⌋,
+    /// ⌊Q/2⌋ + 1 and Q − 1, as coefficient-domain rows.
+    fn boundary_and_random_poly(primes: &[u64], seed: u64, random: usize) -> RnsPoly {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let q = primes.iter().fold(BigUint::one(), |acc, &p| acc.mul_u64(p));
+        let half = &q >> 1;
+        let mut coeffs: Vec<Vec<u64>> = [
+            BigUint::zero(),
+            BigUint::one(),
+            half.clone(),
+            &half + &BigUint::one(),
+            &q - &BigUint::one(),
+        ]
+        .iter()
+        .map(|v| residues_of(v, primes))
+        .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        coeffs.extend((0..random).map(|_| primes.iter().map(|&p| rng.gen_range(0..p)).collect()));
+        let rows = (0..primes.len()).map(|i| coeffs.iter().map(|c| c[i]).collect()).collect();
+        RnsPoly::from_rows(rows, Domain::Coeff)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn limb_crt_matches_biguint_oracle(
+            chain in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+            log_base in 1u32..64,
+        ) {
+            let primes = &chains()[chain];
+            // Enough coefficients for several parallel decode chunks.
+            let poly = boundary_and_random_poly(primes, seed, CRT_MIN_CHUNK + 40);
+            let crt = CrtReconstructor::new(primes);
+            let decoded = poly.to_centered_f64_with(primes, Parallelism::Fixed(3));
+            for (j, &got) in decoded.iter().enumerate() {
+                let rs: Vec<u64> = (0..primes.len()).map(|i| poly.residues(i)[j]).collect();
+                let want = oracle_f64(primes, &rs);
+                proptest::prop_assert!(got.to_bits() == want.to_bits(), "coefficient {j}: {got} vs {want}");
+                proptest::prop_assert_eq!(crt.centered_f64(&rs).to_bits(), want.to_bits());
+                let (negative, magnitude) = crt.centered_parts(&rs);
+                let (want_negative, want_magnitude) = oracle_parts(primes, &rs);
+                proptest::prop_assert_eq!(negative, want_negative);
+                proptest::prop_assert_eq!(BigUint::from_limbs(magnitude.to_vec()), want_magnitude);
+            }
+            let total_bits: u32 = primes.iter().map(|&q| 64 - (q - 1).leading_zeros()).sum();
+            let digits = total_bits.div_ceil(log_base) as usize;
+            let got = poly.to_signed_digits(primes, log_base, digits);
+            for j in [0usize, 1, 2, 3, 4, 5, 6] {
+                let rs: Vec<u64> = (0..primes.len()).map(|i| poly.residues(i)[j]).collect();
+                let want = oracle_digits(primes, &rs, log_base, digits);
+                let got_j: Vec<u64> = got
+                    .iter()
+                    .flat_map(|d| (0..primes.len()).map(move |i| d.residues(i)[j]))
+                    .collect();
+                proptest::prop_assert!(got_j == want, "digits of coefficient {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn widest_accepted_chain_reconstructs() {
+        use crate::ckks::modarith::find_ntt_primes;
+        use crate::params::CkksParams;
+        // 8 × 62 bits + ⌈log2 8⌉ = 499 bits: inside the 8-limb cap.
+        let params = CkksParams { n: 8, prime_bits: vec![62; 8], scale_bits: 40, sigma: 3.2 };
+        params.validate().expect("within the limb cap");
+        let primes = find_ntt_primes(62, 8, 16);
+        let poly = boundary_and_random_poly(&primes, 5, 16);
+        let crt = CrtReconstructor::new(&primes);
+        for j in 0..poly.degree() {
+            let rs: Vec<u64> = (0..primes.len()).map(|i| poly.residues(i)[j]).collect();
+            assert_eq!(crt.centered_f64(&rs).to_bits(), oracle_f64(&primes, &rs).to_bits());
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_chain_one_limb_past_the_cap() {
+        use crate::params::CkksParams;
+        let chain = |last: u32| {
+            let mut prime_bits = vec![57; 8];
+            prime_bits.push(last);
+            CkksParams { n: 8, prime_bits, scale_bits: 40, sigma: 3.2 }
+        };
+        // 8 × 57 + 52 = 508 bits, plus ⌈log2 9⌉ = 512: exactly 8 limbs.
+        chain(52).validate().expect("at the limb cap");
+        // One more bit needs a ninth limb.
+        let err = chain(53).validate().expect_err("past the limb cap");
+        assert!(err.to_string().contains("limb"), "{err}");
     }
 }

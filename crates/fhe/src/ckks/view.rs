@@ -21,7 +21,7 @@
 
 use rhychee_telemetry as telemetry;
 
-use crate::bitpack::{bits_for, BitReader};
+use crate::bitpack::{bits_for, reduce_once, BitReader};
 use crate::error::FheError;
 
 use super::cipher::{CkksCiphertext, CkksContext};
@@ -222,7 +222,7 @@ impl CkksContext {
     /// `acc += view`, residue by residue, straight out of the wire
     /// bytes. No owned ciphertext is built, no allocation happens, and
     /// no transform runs — seeded `c1` rows are re-expanded into the
-    /// modular add one draw at a time. Residues are reduced `% q` on
+    /// modular add one draw at a time. Residues are reduced mod `q` on
     /// the way in, exactly as the owning deserializers do, so folding a
     /// corrupted canonical blob accumulates garbage rather than erroring
     /// (the channel-noise semantics of the canonical format).
@@ -253,7 +253,8 @@ impl CkksContext {
                     for (i, &q) in primes.iter().enumerate() {
                         let bits = bits_for(q);
                         for a in poly.residues_mut(i) {
-                            let v = r.read_bits(bits).expect("length-validated view") % q;
+                            let v =
+                                reduce_once(r.read_bits(bits).expect("length-validated view"), q);
                             *a = add_mod(*a, v, q);
                         }
                     }
@@ -263,7 +264,7 @@ impl CkksContext {
                 for (i, &q) in primes.iter().enumerate() {
                     let bits = bits_for(q);
                     for a in acc.c0.residues_mut(i) {
-                        let v = r.read_bits(bits).expect("length-validated view") % q;
+                        let v = reduce_once(r.read_bits(bits).expect("length-validated view"), q);
                         *a = add_mod(*a, v, q);
                     }
                 }

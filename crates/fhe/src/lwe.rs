@@ -224,7 +224,7 @@ impl LweContext {
     /// `(n+1)·log q` size accounting of Table I.
     pub fn serialize(&self, ct: &LweCiphertext) -> Vec<u8> {
         let bits = self.params.log_q;
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::appending(Vec::with_capacity(self.serialized_len()));
         for &ai in &ct.a {
             w.write_bits(ai, bits);
         }

@@ -4,6 +4,7 @@
 //! (n, log q) combinations; this implementation is parameter-faithful but
 //! has not been independently audited.
 
+use crate::ckks::rns::CRT_MAX_LIMBS;
 use crate::error::FheError;
 
 /// Parameters for the RNS-CKKS scheme.
@@ -83,7 +84,9 @@ impl CkksParams {
     ///
     /// Returns [`FheError::InvalidParams`] if the ring degree is not a
     /// power of two ≥ 8, the prime chain is empty, any prime size is
-    /// outside `[20, 62]` bits, or the scale exceeds the top prime.
+    /// outside `[20, 62]` bits, the chain is too wide for the
+    /// fixed-width CRT decode (`log Q + ⌈log2 L⌉` above
+    /// `64 ·` [`CRT_MAX_LIMBS`] bits), or the scale exceeds the top prime.
     pub fn validate(&self) -> Result<(), FheError> {
         if !self.n.is_power_of_two() || self.n < 8 {
             return Err(FheError::InvalidParams(format!(
@@ -96,6 +99,15 @@ impl CkksParams {
         }
         if let Some(&bad) = self.prime_bits.iter().find(|&&b| !(20..=62).contains(&b)) {
             return Err(FheError::InvalidParams(format!("prime size {bad} outside [20, 62]")));
+        }
+        let levels = self.prime_bits.len();
+        let crt_bits = self.log_q() + (usize::BITS - (levels - 1).leading_zeros());
+        if crt_bits > 64 * CRT_MAX_LIMBS as u32 {
+            return Err(FheError::InvalidParams(format!(
+                "a {}-bit chain of {levels} primes needs {crt_bits} bits of CRT headroom, \
+                 more than {CRT_MAX_LIMBS} limbs of 64",
+                self.log_q()
+            )));
         }
         let top = *self.prime_bits.first().expect("non-empty");
         if self.scale_bits + 1 > top {

@@ -43,12 +43,13 @@ fn transform_counts_match_the_accounting_table() {
     let values = vec![0.5; 100];
 
     // Resident public-key encrypt: one forward per prime for each of
-    // v (shared by both components), e0, e1, and the encoded message —
-    // no inverses, and no key transforms (keys were cached at keygen).
+    // v (shared by both components), e0 + m (the encoded message is
+    // added before the transform) and e1 — no inverses, and no key
+    // transforms (keys were cached at keygen).
     let (f0, i0) = ntt_counts();
     let ct = ctx.encrypt(&pk, &values, &mut rng).expect("encrypt");
     let (f1, i1) = ntt_counts();
-    assert_eq!((f1 - f0, i1 - i0), (4 * levels, 0), "resident encrypt");
+    assert_eq!((f1 - f0, i1 - i0), (3 * levels, 0), "resident encrypt");
 
     // The server aggregation loop is transform-free.
     let ct2 = ctx.encrypt(&pk, &values, &mut rng).expect("encrypt");
@@ -67,11 +68,11 @@ fn transform_counts_match_the_accounting_table() {
     assert_eq!((f1 - f0, i1 - i0), (0, levels), "eval decrypt");
 
     // Symmetric seeded encrypt: c1 is expanded from the seed directly in
-    // the evaluation domain, so only e and the message transform.
+    // the evaluation domain, so only e + m transforms.
     let (f0, i0) = ntt_counts();
     let sct = ctx.encrypt_symmetric(&sk, &values, &mut rng).expect("encrypt");
     let (f1, i1) = ntt_counts();
-    assert_eq!((f1 - f0, i1 - i0), (2 * levels, 0), "symmetric encrypt");
+    assert_eq!((f1 - f0, i1 - i0), (levels, 0), "symmetric encrypt");
 
     // Canonical serialization is the one place a resident ciphertext
     // pays inverses: one per prime per component.

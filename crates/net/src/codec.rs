@@ -119,14 +119,23 @@ pub fn decode_plain(bytes: &[u8], max_params: usize) -> Result<Vec<f32>, NetErro
     Ok(params)
 }
 
+/// A frame buffer presized for `tag`, the ciphertext count and one
+/// `len`-byte blob (plus its length prefix) per ciphertext, with the tag
+/// and count already written. Encoders serialize straight into it.
+fn frame_for(tag: u8, cts: &[CkksCiphertext], len: impl Fn(&CkksCiphertext) -> usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(5 + cts.iter().map(|ct| 4 + len(ct)).sum::<usize>());
+    out.push(tag);
+    out.extend_from_slice(&(cts.len() as u32).to_le_bytes());
+    out
+}
+
 /// Encodes packed CKKS ciphertexts under the given context.
 pub fn encode_ckks(ctx: &CkksContext, cts: &[CkksCiphertext]) -> Vec<u8> {
-    let mut out = vec![TAG_CKKS];
-    out.extend_from_slice(&(cts.len() as u32).to_le_bytes());
+    let len = |ct: &CkksCiphertext| ctx.serialized_len(ct.levels());
+    let mut out = frame_for(TAG_CKKS, cts, len);
     for ct in cts {
-        let bytes = ctx.serialize(ct);
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
+        out.extend_from_slice(&(len(ct) as u32).to_le_bytes());
+        ctx.serialize_into(ct, &mut out);
     }
     out
 }
@@ -179,12 +188,11 @@ pub fn decode_ckks(
 /// (i.e. was not produced by symmetric encryption, or has been
 /// operated on since).
 pub fn encode_ckks_seeded(ctx: &CkksContext, cts: &[CkksCiphertext]) -> Result<Vec<u8>, NetError> {
-    let mut out = vec![TAG_CKKS_SEEDED];
-    out.extend_from_slice(&(cts.len() as u32).to_le_bytes());
+    let len = |ct: &CkksCiphertext| ctx.serialized_len_seeded(ct.levels());
+    let mut out = frame_for(TAG_CKKS_SEEDED, cts, len);
     for ct in cts {
-        let bytes = ctx.serialize_seeded(ct)?;
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
+        out.extend_from_slice(&(len(ct) as u32).to_le_bytes());
+        ctx.serialize_seeded_into(ct, &mut out)?;
     }
     Ok(out)
 }

@@ -523,6 +523,10 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
     // survivors gate their round-1 uploads on it so the fold always
     // lands (and the socket dies) before round 1 can close.
     let departed = Arc::new(AtomicBool::new(false));
+    // Set once client 4's reconnect has been welcomed; survivors gate
+    // round 2 on it so the rejoin is always queued before round 2 can
+    // close and activates exactly at the round-3 boundary.
+    let rejoined = Arc::new(AtomicBool::new(false));
     let mut shards = shards;
     let churn_shard = shards.pop().expect("5 shards");
 
@@ -530,6 +534,7 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
     for (id, shard) in shards.into_iter().enumerate() {
         let fl = fl.clone();
         let departed = Arc::clone(&departed);
+        let rejoined = Arc::clone(&rejoined);
         joins.push(thread::spawn(move || -> Vec<f32> {
             let mut local = ClientLocal::new(id, shard, classes, &fl);
             let ctx = CkksContext::new(CkksParams::toy()).expect("ctx");
@@ -539,8 +544,13 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
             let (msg, _) = wire::read_message(&mut stream, DEFAULT_MAX_PAYLOAD).expect("welcome");
             assert!(matches!(msg, Message::Welcome { .. }), "got {}", msg.name());
             for round in 0..fl.rounds {
-                if round == 1 {
-                    while !departed.load(Ordering::SeqCst) {
+                let gate = match round {
+                    1 => Some(&departed),
+                    2 => Some(&rejoined),
+                    _ => None,
+                };
+                if let Some(gate) = gate {
+                    while !gate.load(Ordering::SeqCst) {
                         thread::sleep(Duration::from_millis(5));
                     }
                 }
@@ -561,6 +571,7 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
 
     let fl_churn = fl.clone();
     let departed_flag = Arc::clone(&departed);
+    let rejoined_flag = Arc::clone(&rejoined);
     let churner = thread::spawn(move || -> Vec<f32> {
         let mut local = ClientLocal::new(4, churn_shard, classes, &fl_churn);
         let ctx = CkksContext::new(CkksParams::toy()).expect("ctx");
@@ -592,6 +603,7 @@ fn streamed_fold_survives_dropout_and_rejoin_with_batch_quorum_accounting() {
                 _ => continue,
             }
         };
+        rejoined_flag.store(true, Ordering::SeqCst);
 
         // Round 3: back in the quorum.
         ckks_wire_round(&mut stream, &mut local, &fl_churn, &ctx, &sk, &pk, 3, num_params);
